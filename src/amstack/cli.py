@@ -261,7 +261,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except StackError as exc:
-        print(f"error[{exc.code}]: {exc.message}", file=sys.stderr)
+        where = f" (at {exc.path})" if exc.path else ""
+        print(f"error[{exc.code}]: {exc.message}{where}", file=sys.stderr)
         return EXIT_ERROR
     except Exception as exc:  # contract: exit codes are only ever 0/1/2/3
         log.exception("internal error")

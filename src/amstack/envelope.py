@@ -163,16 +163,3 @@ def export_envelope(frontier: ParetoFrontier, graph: ComputationGraph, fmt: str 
         }
         return json.dumps(doc, indent=2, sort_keys=True)
     raise StackError("E-FORMAT", f"unknown envelope format '{fmt}'")
-
-
-def frontier_from_json(text: str, graph: ComputationGraph, model: SubstrateModel) -> ParetoFrontier:
-    """Rebuild a frontier from its JSON export (round-trip check support)."""
-    doc = json.loads(text)
-    name_to_id = {n.name: n.id for n in graph.nodes}
-    points = []
-    for row in doc["points"]:
-        assignment = {
-            name_to_id[name]: (entry["device"], entry["variant"]) for name, entry in row["assignment"].items()
-        }
-        points.append(evaluate_config(assignment, graph, model))
-    return ParetoFrontier(tuple(points), doc["dominated_count"])

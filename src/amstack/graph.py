@@ -12,9 +12,12 @@ returns a new graph rather than mutating edges).
 
 from __future__ import annotations
 
-import json
+import heapq
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from types import MappingProxyType
 
 from .dsl import Diagnostic, ResolvedProgram
 from .errors import StackError
@@ -42,37 +45,54 @@ class Edge:
     consumer: int
     port: int
     buffer_capacity: int | None = None  # filled by buffer_sizing
-    bandwidth_bps: float | None = None  # filled by bandwidth analysis
 
 
 @dataclass(frozen=True)
 class ComputationGraph:
+    """Nodes and edges; the lookups below read indexes built once per
+    instance on first use. The indexes are not fields, so eq, hash and repr
+    see only the nodes and edges, and every index is read-only."""
+
     nodes: tuple[Node, ...]
     edges: tuple[Edge, ...]
 
     def node(self, node_id: int) -> Node:
         return self.nodes[node_id]
 
-    def by_name(self, name: str) -> Node:
+    @cached_property
+    def name_index(self) -> Mapping[str, Node]:
+        """name -> node; the first node of a name wins."""
+        index: dict[str, Node] = {}
         for n in self.nodes:
-            if n.name == name:
-                return n
-        raise KeyError(name)
+            index.setdefault(n.name, n)
+        return MappingProxyType(index)
 
-    def in_edges(self, node_id: int) -> list[Edge]:
-        return [e for e in self.edges if e.consumer == node_id]
+    def by_name(self, name: str) -> Node:
+        return self.name_index[name]
 
-    def out_edges(self, node_id: int) -> list[Edge]:
-        return [e for e in self.edges if e.producer == node_id]
+    @cached_property
+    def _adjacency(self) -> tuple[dict[int, tuple[Edge, ...]], dict[int, tuple[Edge, ...]]]:
+        """(consumer -> in-edges, producer -> out-edges), each in edge order."""
+        ins: dict[int, list[Edge]] = {}
+        outs: dict[int, list[Edge]] = {}
+        for e in self.edges:
+            ins.setdefault(e.consumer, []).append(e)
+            outs.setdefault(e.producer, []).append(e)
+        return {k: tuple(v) for k, v in ins.items()}, {k: tuple(v) for k, v in outs.items()}
 
-    @property
-    def source_ids(self) -> set[int]:
-        return {n.id for n in self.nodes if n.kind == "source"}
+    def in_edges(self, node_id: int) -> tuple[Edge, ...]:
+        return self._adjacency[0].get(node_id, ())
 
-    @property
-    def sink_ids(self) -> set[int]:
-        has_out = {e.producer for e in self.edges}
-        return {n.id for n in self.nodes if n.id not in has_out}
+    def out_edges(self, node_id: int) -> tuple[Edge, ...]:
+        return self._adjacency[1].get(node_id, ())
+
+    @cached_property
+    def source_ids(self) -> frozenset[int]:
+        return frozenset(n.id for n in self.nodes if n.kind == "source")
+
+    @cached_property
+    def sink_ids(self) -> frozenset[int]:
+        return frozenset(n.id for n in self.nodes if not self.out_edges(n.id))
 
     def operator_nodes(self) -> list[Node]:
         return [n for n in self.nodes if n.kind == "operator"]
@@ -82,19 +102,16 @@ class ComputationGraph:
         indeg = {n.id: 0 for n in self.nodes}
         for e in self.edges:
             indeg[e.consumer] += 1
-        ready = sorted(i for i, d in indeg.items() if d == 0)
+        ready = [i for i, d in indeg.items() if d == 0]
+        heapq.heapify(ready)  # smallest ready id first, for determinism
         order = []
         while ready:
-            i = ready.pop(0)
+            i = heapq.heappop(ready)
             order.append(i)
             for e in self.out_edges(i):
                 indeg[e.consumer] -= 1
                 if indeg[e.consumer] == 0:
-                    # insert keeping ready sorted for determinism
-                    lo = 0
-                    while lo < len(ready) and ready[lo] < e.consumer:
-                        lo += 1
-                    ready.insert(lo, e.consumer)
+                    heapq.heappush(ready, e.consumer)
         if len(order) != len(self.nodes):
             raise StackError("E-CYCLE", "computation graph contains a cycle")
         return order
@@ -215,15 +232,6 @@ def edge_bandwidth(graph: ComputationGraph, edge: Edge) -> float:
     return p.required_freq_hz * p.message_size
 
 
-def cut_bandwidth(graph: ComputationGraph, upstream: set[int]) -> float:
-    """Total bytes/s crossing a topological cut (upstream -> rest)."""
-    total = 0.0
-    for e in graph.edges:
-        if e.producer in upstream and e.consumer not in upstream:
-            total += edge_bandwidth(graph, e)
-    return total
-
-
 def aggregate_bandwidth(graph: ComputationGraph) -> BandwidthReport:
     """Per-edge, per-node-output, and per-stage-cut byte rates.
 
@@ -304,32 +312,6 @@ def critical_paths(graph: ComputationGraph, bound: int = PATH_ENUMERATION_BOUND)
 # Export
 
 
-def graph_to_json(graph: ComputationGraph) -> str:
-    doc = {
-        "nodes": [
-            {
-                "id": n.id,
-                "name": n.name,
-                "kind": n.kind,
-                "freq_hz": n.required_freq_hz,
-                "msg_bytes": n.message_size,
-            }
-            for n in graph.nodes
-        ],
-        "edges": [
-            {
-                "from": e.producer,
-                "to": e.consumer,
-                "port": e.port,
-                "capacity": e.buffer_capacity,
-                "bw_bps": e.bandwidth_bps,
-            }
-            for e in graph.edges
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
 def graph_to_dot(graph: ComputationGraph) -> str:
     lines = ["digraph computation {", "  rankdir=LR;"]
     for n in graph.nodes:
@@ -340,12 +322,3 @@ def graph_to_dot(graph: ComputationGraph) -> str:
         lines.append(f"  n{e.producer} -> n{e.consumer}{attrs};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def attach_bandwidth(graph: ComputationGraph) -> ComputationGraph:
-    """Fill Edge.bandwidth_bps from the producers' message sizes."""
-    report = aggregate_bandwidth(graph)
-    edges = tuple(
-        replace(e, bandwidth_bps=report.per_edge_bps[(e.producer, e.consumer, e.port)]) for e in graph.edges
-    )
-    return ComputationGraph(graph.nodes, edges)

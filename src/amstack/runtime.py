@@ -59,7 +59,7 @@ from .dsl import ContractStmt
 from .errors import StackError
 from .graph import ComputationGraph, buffer_sizing
 from .scheduler import Mapping, analytic_latency, decompose_contract
-from .substrate import SubstrateModel, query
+from .substrate import SubstrateModel, allowed_classes, assigned_profile, finite_number, query
 
 # event priorities at equal timestamps: finishes publish and free lanes
 # first, sensor data lands before consumers activate, misses are checked
@@ -77,6 +77,13 @@ class AdaptationParams:
     cooldown_periods: int = 50  # C periods between changes of one node
 
 
+def _check_duration(duration_s: float):
+    """A run or trace window must be finite and positive: an infinite one
+    never ends, and metrics divide by it."""
+    if not (finite_number(duration_s) and duration_s > 0):
+        raise StackError("E-SCHEMA", f"duration must be a finite number of seconds > 0, got {duration_s}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     duration_s: float
@@ -84,6 +91,9 @@ class SimConfig:
     mode: str = "deterministic"  # or "stochastic"
     adaptation: bool = False
     adaptation_params: AdaptationParams = field(default_factory=AdaptationParams)
+
+    def __post_init__(self):
+        _check_duration(self.duration_s)
 
 
 @dataclass(frozen=True)
@@ -143,6 +153,11 @@ def load_disturbances(path: str) -> list[Disturbance]:
     for i, row in enumerate(doc):
         if not isinstance(row, dict) or set(row) != {"op", "factor", "t0", "t1"}:
             raise StackError("E-SCHEMA", "disturbance rows need exactly op, factor, t0, t1", f"/{i}")
+        if not isinstance(row["op"], str):
+            raise StackError("E-SCHEMA", "op must be a string", f"/{i}/op")
+        for key in ("factor", "t0", "t1"):
+            if not finite_number(row[key]):
+                raise StackError("E-SCHEMA", f"{key} must be a finite number", f"/{i}/{key}")
         out.append(Disturbance(row["op"], float(row["factor"]), float(row["t0"]), float(row["t1"])))
     return out
 
@@ -222,15 +237,8 @@ class _Adaptation:
             sim.assignment[nid] = (dev_id, profiles[0].variant)
             sim.log(t, node.name, "variant_switch", dict(base, device=dev_id, from_variant=variant, to_variant=profiles[0].variant))
             return
-        allowed_class = None
-        if node.mapping_constraint is not None and node.mapping_constraint[1] == "requirement":
-            allowed_class = node.mapping_constraint[0]
-        targets = [
-            d
-            for d in self.model.devices
-            if query(self.model, node.name, d.device_class)
-            and (allowed_class is None or d.device_class == allowed_class)
-        ]
+        classes = allowed_classes(node, self.model)
+        targets = [d for d in self.model.devices if d.device_class in classes]
         target = min(targets, key=lambda d: (sim.busy_utilization(d.id, t), d.id))
         if target.id == dev_id:
             sim.log(t, node.name, "remap", dict(base, unresolved=True, device=dev_id))
@@ -291,7 +299,6 @@ class _Simulator:
 
         budgets: dict[int, float] = {}
         if config.adaptation:
-            name_to_id = {n.name: n.id for n in graph.nodes}
             for c in contracts:
                 if c.scope == "end_to_end" and c.latency_bound_ms is not None:
                     _, _, path = analytic_latency(graph, model, self.assignment)
@@ -299,8 +306,8 @@ class _Simulator:
                         for sc in decompose_contract(c.latency_bound_ms, path, graph, model, self.assignment):
                             budgets.setdefault(sc.node_id, sc.latency_budget_ms)
             for c in contracts:
-                if c.scope != "end_to_end" and c.latency_bound_ms is not None and c.scope in name_to_id:
-                    budgets[name_to_id[c.scope]] = c.latency_bound_ms
+                if c.scope != "end_to_end" and c.latency_bound_ms is not None and c.scope in graph.name_index:
+                    budgets[graph.by_name(c.scope).id] = c.latency_bound_ms
         self.adaptation = _Adaptation(graph, model, config.adaptation_params, budgets) if config.adaptation else None
 
     # -- plumbing --------------------------------------------------------
@@ -327,8 +334,7 @@ class _Simulator:
 
     def draw_service(self, node, t: float) -> tuple[float, float]:
         """(service seconds, energy mJ) for one invocation released at t."""
-        dev_id, variant = self.assignment[node.id]
-        prof = self.model.profile(node.name, variant, self.model.device(dev_id).device_class)
+        prof = assigned_profile(self.model, node, self.assignment)
         if self.config.mode == "stochastic":
             drawn = self.rng[node.id].gauss(prof.latency_mean_ms, prof.latency_std_ms)
             lat_ms = max(0.1 * prof.latency_mean_ms, drawn)
@@ -360,8 +366,6 @@ class _Simulator:
 
     def run(self) -> SimTrace:
         duration = self.config.duration_s
-        if duration <= 0:
-            raise StackError("E-SCHEMA", "simulation duration must be positive")
         eps = 1e-9
         for n in sorted(self.graph.nodes, key=lambda n: n.id):
             period = 1.0 / n.required_freq_hz
@@ -502,6 +506,7 @@ def replay(
     """
     contracts = list(contracts or [])
     duration = trace.duration_s
+    _check_duration(duration)
     last_t = None
     for e in trace.events:
         if last_t is not None and e.t < last_t - 1e-12:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from .dsl import ContractStmt
 from .errors import StackError
 from .graph import ComputationGraph, critical_paths
-from .substrate import Device, SubstrateModel, VariantProfile, query, validate_coverage
+from .substrate import Device, SubstrateModel, VariantProfile, allowed_classes, assigned_profile, query, validate_coverage
 
 HINT_TIE_WINDOW = 0.05
 
@@ -94,23 +94,13 @@ class SubContract:
 
 def candidates(node, model: SubstrateModel) -> list[tuple[Device, VariantProfile]]:
     """(device, variant) pairs a node may run on, honoring require_map."""
-    required_class = None
-    if node.mapping_constraint is not None and node.mapping_constraint[1] == "requirement":
-        required_class = node.mapping_constraint[0]
+    classes = allowed_classes(node, model)
     out = []
     for dev in sorted(model.devices, key=lambda d: d.id):
-        if required_class is not None and dev.device_class != required_class:
-            continue
-        for prof in query(model, node.name, dev.device_class):
-            out.append((dev, prof))
+        if dev.device_class in classes:
+            for prof in query(model, node.name, dev.device_class):
+                out.append((dev, prof))
     return out
-
-
-def compatible_classes(node, model: SubstrateModel) -> list[str]:
-    classes = model.classes_for(node.name)
-    if node.mapping_constraint is not None and node.mapping_constraint[1] == "requirement":
-        classes = [c for c in classes if c == node.mapping_constraint[0]]
-    return classes
 
 
 def upward_ranks(graph: ComputationGraph, model: SubstrateModel) -> dict[int, float]:
@@ -119,7 +109,7 @@ def upward_ranks(graph: ComputationGraph, model: SubstrateModel) -> dict[int, fl
     ops = {n.id: n for n in graph.operator_nodes()}
 
     def mean_cost(node) -> float:
-        classes = compatible_classes(node, model)
+        classes = allowed_classes(node, model)
         if not classes:
             raise StackError("E-UNSCHEDULABLE", f"no compatible device class for '{node.name}'")
         best = [query(model, node.name, c)[0].latency_mean_ms for c in classes]
@@ -213,17 +203,15 @@ def utilization_check(
 ) -> dict[str, float]:
     """Sustained-rate demand per device: sum of latency x rate over cores."""
     util = {d.id: 0.0 for d in model.devices}
-    for nid, (dev_id, variant) in assignment.items():
+    for nid, (dev_id, _) in assignment.items():
         node = graph.node(nid)
-        prof = model.profile(node.name, variant, model.device(dev_id).device_class)
+        prof = assigned_profile(model, node, assignment)
         util[dev_id] += (prof.latency_mean_ms / 1000.0) * node.required_freq_hz / model.device(dev_id).core_count
     return util
 
 
 def assigned_latency_ms(graph: ComputationGraph, model: SubstrateModel, assignment, node_id: int) -> float:
-    dev_id, variant = assignment[node_id]
-    node = graph.node(node_id)
-    return model.profile(node.name, variant, model.device(dev_id).device_class).latency_mean_ms
+    return assigned_profile(model, graph.node(node_id), assignment).latency_mean_ms
 
 
 def path_metrics(
@@ -241,14 +229,13 @@ def path_metrics(
         node = graph.node(nid)
         if node.kind == "source":
             continue
-        dev_id, variant = assignment[nid]
-        prof = model.profile(node.name, variant, model.device(dev_id).device_class)
+        prof = assigned_profile(model, node, assignment)
         latency += prof.latency_mean_ms
         var += prof.latency_std_ms**2
         if i > 0:
             pred = graph.node(path[i - 1])
             if pred.kind != "source":
-                latency += model.comm_cost_ms(assignment[pred.id][0], dev_id, pred.message_size)
+                latency += model.comm_cost_ms(assignment[pred.id][0], assignment[nid][0], pred.message_size)
     return latency, math.sqrt(var)
 
 
@@ -268,9 +255,9 @@ def energy_rate_w(graph: ComputationGraph, model: SubstrateModel, assignment) ->
     """Platform power: per-invocation energy at the required rates plus the
     idle power of every device in the model."""
     rate = sum(d.idle_power_w for d in model.devices)
-    for nid, (dev_id, variant) in assignment.items():
+    for nid in assignment:
         node = graph.node(nid)
-        prof = model.profile(node.name, variant, model.device(dev_id).device_class)
+        prof = assigned_profile(model, node, assignment)
         rate += node.required_freq_hz * prof.energy_per_invocation_mj / 1000.0
     return rate
 
@@ -310,7 +297,6 @@ def admit(
             )
 
     e2e_latency, e2e_var, _ = analytic_latency(graph, model, mapping.assignment)
-    name_to_node = {n.name: n for n in graph.nodes}
     for c in contracts:
         if c.scope == "end_to_end":
             if c.latency_bound_ms is not None and e2e_latency > c.latency_bound_ms:
@@ -342,12 +328,11 @@ def admit(
                         )
                     )
         else:
-            node = name_to_node.get(c.scope)
+            node = graph.name_index.get(c.scope)
             if node is None or node.id not in mapping.assignment:
                 continue
-            lat = assigned_latency_ms(graph, model, mapping.assignment, node.id)
-            dev_id, variant = mapping.assignment[node.id]
-            prof = model.profile(node.name, variant, model.device(dev_id).device_class)
+            prof = assigned_profile(model, node, mapping.assignment)
+            lat = prof.latency_mean_ms
             if c.latency_bound_ms is not None and lat > c.latency_bound_ms:
                 violations.append(
                     Violation(

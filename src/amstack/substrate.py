@@ -15,7 +15,9 @@ File format (strict; unknown fields rejected):
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .dsl import DEVICE_CLASSES, Diagnostic
 from .errors import StackError
@@ -44,30 +46,44 @@ class VariantProfile:
 
 @dataclass(frozen=True)
 class SubstrateModel:
+    """Devices and profiles; the lookups below read indexes built once per
+    instance on first use. The indexes are not fields, so eq, hash and repr
+    see only the devices and profiles, and no lookup hands out an index."""
+
     devices: tuple[Device, ...]
     profiles: tuple[VariantProfile, ...]
 
-    def device(self, device_id: str) -> Device:
-        for d in self.devices:
-            if d.id == device_id:
-                return d
-        raise KeyError(device_id)
+    @cached_property
+    def _device_index(self) -> dict[str, Device]:
+        return {d.id: d for d in reversed(self.devices)}  # the first of an id wins
 
-    def devices_of_class(self, device_class: str) -> list[Device]:
-        return [d for d in self.devices if d.device_class == device_class]
+    @cached_property
+    def _profile_index(self) -> dict[tuple[str, str, str], VariantProfile]:
+        return {(p.operator, p.variant, p.device_class): p for p in reversed(self.profiles)}
+
+    @cached_property
+    def _query_index(self) -> dict[tuple[str, str], tuple[VariantProfile, ...]]:
+        """(operator, class) -> its profiles, fastest first, ties on variant name."""
+        hits: dict[tuple[str, str], list[VariantProfile]] = {}
+        for p in self.profiles:
+            hits.setdefault((p.operator, p.device_class), []).append(p)
+        return {k: tuple(sorted(v, key=lambda p: (p.latency_mean_ms, p.variant))) for k, v in hits.items()}
+
+    @cached_property
+    def _class_index(self) -> dict[str, tuple[str, ...]]:
+        classes: dict[str, set[str]] = {}
+        for operator, device_class in self._query_index:
+            classes.setdefault(operator, set()).add(device_class)
+        return {op: tuple(sorted(c)) for op, c in classes.items()}
+
+    def device(self, device_id: str) -> Device:
+        return self._device_index[device_id]
 
     def classes_for(self, operator: str) -> list[str]:
-        seen = []
-        for p in self.profiles:
-            if p.operator == operator and p.device_class not in seen:
-                seen.append(p.device_class)
-        return sorted(seen)
+        return list(self._class_index.get(operator, ()))
 
     def profile(self, operator: str, variant: str, device_class: str) -> VariantProfile:
-        for p in self.profiles:
-            if (p.operator, p.variant, p.device_class) == (operator, variant, device_class):
-                return p
-        raise KeyError((operator, variant, device_class))
+        return self._profile_index[(operator, variant, device_class)]
 
     def mean_link_bandwidth(self) -> float:
         return sum(d.link_bandwidth_bps for d in self.devices) / len(self.devices)
@@ -86,9 +102,21 @@ def query(model: SubstrateModel, operator: str, device_class: str) -> list[Varia
     Ties on latency break on variant name, so the order is total. An empty
     list means the operator is unsupported on that class.
     """
-    hits = [p for p in model.profiles if p.operator == operator and p.device_class == device_class]
-    hits.sort(key=lambda p: (p.latency_mean_ms, p.variant))
-    return hits
+    return list(model._query_index.get((operator, device_class), ()))
+
+
+def allowed_classes(node, model: SubstrateModel) -> list[str]:
+    """Device classes `node` has profiles on, narrowed by its require_map."""
+    classes = model.classes_for(node.name)
+    if node.mapping_constraint is not None and node.mapping_constraint[1] == "requirement":
+        return [c for c in classes if c == node.mapping_constraint[0]]
+    return classes
+
+
+def assigned_profile(model: SubstrateModel, node, assignment) -> VariantProfile:
+    """The profile `node` runs under `assignment` (node id -> (device id, variant))."""
+    dev_id, variant = assignment[node.id]
+    return model.profile(node.name, variant, model.device(dev_id).device_class)
 
 
 def validate_coverage(model: SubstrateModel, graph: ComputationGraph) -> list[Diagnostic]:
@@ -99,16 +127,15 @@ def validate_coverage(model: SubstrateModel, graph: ComputationGraph) -> list[Di
         if not classes:
             diags.append(Diagnostic("error", "E-NOPROFILE", f"operator '{n.name}' has no profile on any device class"))
             continue
-        if n.mapping_constraint is not None:
-            cls, strength = n.mapping_constraint
-            if strength == "requirement" and cls not in classes:
-                diags.append(
-                    Diagnostic(
-                        "error",
-                        "E-MAPCONFLICT",
-                        f"'{n.name}' is required on {cls} but has no {cls} profile (available: {', '.join(classes)})",
-                    )
+        if not allowed_classes(n, model):
+            cls = n.mapping_constraint[0]
+            diags.append(
+                Diagnostic(
+                    "error",
+                    "E-MAPCONFLICT",
+                    f"'{n.name}' is required on {cls} but has no {cls} profile (available: {', '.join(classes)})",
                 )
+            )
     return diags
 
 
@@ -121,6 +148,24 @@ _PROFILE_FIELDS = {"op", "variant", "class", "lat_ms_mean", "lat_ms_std", "energ
 
 def _schema_err(message: str, path: str):
     raise StackError("E-SCHEMA", message, path)
+
+
+def finite_number(value) -> bool:
+    """An int or float with a finite value. Python's json module accepts
+    NaN and Infinity, and a bool is an int to isinstance; neither is a
+    number in an input file."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def _check_strings(row: dict, keys: tuple[str, ...], path: str):
+    for key in keys:
+        if not isinstance(row[key], str):
+            _schema_err(f"{key} must be a string", f"{path}/{key}")
 
 
 def _check_fields(row: dict, allowed: set[str], path: str):
@@ -147,14 +192,15 @@ def model_from_dict(doc: dict) -> SubstrateModel:
     for i, row in enumerate(doc["devices"]):
         path = f"/devices/{i}"
         _check_fields(row, _DEVICE_FIELDS, path)
+        _check_strings(row, ("id", "name"), path)
         if row["class"] not in DEVICE_CLASSES:
             _schema_err(f"unknown device class '{row['class']}'", path + "/class")
-        if not isinstance(row["cores"], int) or row["cores"] < 1:
+        if not (finite_number(row["cores"]) and isinstance(row["cores"], int) and row["cores"] >= 1):
             _schema_err("cores must be a positive integer", path + "/cores")
-        if not isinstance(row["link_bw_bps"], (int, float)) or row["link_bw_bps"] <= 0:
-            _schema_err("link_bw_bps must be positive", path + "/link_bw_bps")
-        if not isinstance(row["idle_w"], (int, float)) or row["idle_w"] < 0:
-            _schema_err("idle_w must be >= 0", path + "/idle_w")
+        if not (finite_number(row["link_bw_bps"]) and row["link_bw_bps"] > 0):
+            _schema_err("link_bw_bps must be a finite number > 0", path + "/link_bw_bps")
+        if not (finite_number(row["idle_w"]) and row["idle_w"] >= 0):
+            _schema_err("idle_w must be a finite number >= 0", path + "/idle_w")
         if row["id"] in seen_ids:
             raise StackError("E-DUPKEY", f"duplicate device id '{row['id']}'", path + "/id")
         seen_ids.add(row["id"])
@@ -167,14 +213,15 @@ def model_from_dict(doc: dict) -> SubstrateModel:
     for i, row in enumerate(doc["profiles"]):
         path = f"/profiles/{i}"
         _check_fields(row, _PROFILE_FIELDS, path)
+        _check_strings(row, ("op", "variant"), path)
         if row["class"] not in DEVICE_CLASSES:
             _schema_err(f"unknown device class '{row['class']}'", path + "/class")
-        if not isinstance(row["lat_ms_mean"], (int, float)) or row["lat_ms_mean"] <= 0:
-            _schema_err("lat_ms_mean must be positive", path + "/lat_ms_mean")
-        if not isinstance(row["lat_ms_std"], (int, float)) or row["lat_ms_std"] < 0:
-            _schema_err("lat_ms_std must be >= 0", path + "/lat_ms_std")
-        if not isinstance(row["energy_mj"], (int, float)) or row["energy_mj"] < 0:
-            _schema_err("energy_mj must be >= 0", path + "/energy_mj")
+        if not (finite_number(row["lat_ms_mean"]) and row["lat_ms_mean"] > 0):
+            _schema_err("lat_ms_mean must be a finite number > 0", path + "/lat_ms_mean")
+        if not (finite_number(row["lat_ms_std"]) and row["lat_ms_std"] >= 0):
+            _schema_err("lat_ms_std must be a finite number >= 0", path + "/lat_ms_std")
+        if not (finite_number(row["energy_mj"]) and row["energy_mj"] >= 0):
+            _schema_err("energy_mj must be a finite number >= 0", path + "/energy_mj")
         key = (row["op"], row["variant"], row["class"])
         if key in seen_keys:
             raise StackError("E-DUPKEY", f"duplicate profile {key}", path)

@@ -2,13 +2,110 @@
 
 These deliberately avoid the production code paths: the makespan oracle is
 a plain topological list scheduler driven by exhaustive assignment
-enumeration, and the dominance check is the quadratic pairwise definition.
+enumeration, the dominance check is the quadratic pairwise definition, and
+the graph and platform lookups are linear scans over the models' tuples,
+which the indexed lookups of ComputationGraph and SubstrateModel must match.
 """
 
 import itertools
 import math
 
-from amstack import scheduler
+from amstack import graph as graphmod, scheduler
+from amstack.errors import StackError
+
+# ---------------------------------------------------------------------------
+# ComputationGraph lookups
+
+
+def in_edges(graph, node_id):
+    return [e for e in graph.edges if e.consumer == node_id]
+
+
+def out_edges(graph, node_id):
+    return [e for e in graph.edges if e.producer == node_id]
+
+
+def source_ids(graph):
+    return {n.id for n in graph.nodes if n.kind == "source"}
+
+
+def sink_ids(graph):
+    has_out = {e.producer for e in graph.edges}
+    return {n.id for n in graph.nodes if n.id not in has_out}
+
+
+def by_name(graph, name):
+    for n in graph.nodes:
+        if n.name == name:
+            return n
+    raise KeyError(name)
+
+
+def topo_order(graph):
+    """Kahn's algorithm keeping the ready list sorted by insertion."""
+    indeg = {n.id: 0 for n in graph.nodes}
+    for e in graph.edges:
+        indeg[e.consumer] += 1
+    ready = sorted(i for i, d in indeg.items() if d == 0)
+    order = []
+    while ready:
+        i = ready.pop(0)
+        order.append(i)
+        for e in out_edges(graph, i):
+            indeg[e.consumer] -= 1
+            if indeg[e.consumer] == 0:
+                lo = 0
+                while lo < len(ready) and ready[lo] < e.consumer:
+                    lo += 1
+                ready.insert(lo, e.consumer)
+    if len(order) != len(graph.nodes):
+        raise StackError("E-CYCLE", "computation graph contains a cycle")
+    return order
+
+
+def cut_bandwidth(graph, upstream):
+    """Total bytes/s crossing a topological cut (upstream -> rest)."""
+    total = 0.0
+    for e in graph.edges:
+        if e.producer in upstream and e.consumer not in upstream:
+            total += graphmod.edge_bandwidth(graph, e)
+    return total
+
+
+# ---------------------------------------------------------------------------
+# SubstrateModel lookups
+
+
+def device(model, device_id):
+    for d in model.devices:
+        if d.id == device_id:
+            return d
+    raise KeyError(device_id)
+
+
+def profile(model, operator, variant, device_class):
+    for p in model.profiles:
+        if (p.operator, p.variant, p.device_class) == (operator, variant, device_class):
+            return p
+    raise KeyError((operator, variant, device_class))
+
+
+def classes_for(model, operator):
+    seen = []
+    for p in model.profiles:
+        if p.operator == operator and p.device_class not in seen:
+            seen.append(p.device_class)
+    return sorted(seen)
+
+
+def query(model, operator, device_class):
+    hits = [p for p in model.profiles if p.operator == operator and p.device_class == device_class]
+    hits.sort(key=lambda p: (p.latency_mean_ms, p.variant))
+    return hits
+
+
+# ---------------------------------------------------------------------------
+# Scheduling and dominance
 
 
 def oracle_makespan(graph, model, assignment):

@@ -14,6 +14,38 @@ ORBS = fixtures.path("orb_substrate.json")
 ORB_DIST = fixtures.path("orb_disturbance.json")
 
 
+def _write_json(path, doc):
+    path.write_text(json.dumps(doc))  # NaN and Infinity go out as json.load accepts them
+    return str(path)
+
+
+def _bad_inputs(tmp_path):
+    """name -> (argv, what the error names) of one rejected input each; none
+    starts an unbounded run."""
+    profiles = json.loads(open(RVS).read())
+    profiles["profiles"][0]["lat_ms_mean"] = float("nan")
+    nan_profiles = _write_json(tmp_path / "nan.json", profiles)
+    bad_factor = _write_json(tmp_path / "dist.json", [{"op": "Matching", "factor": "abc", "t0": 0, "t1": 1}])
+    at_zero = tmp_path / "t0.jsonl"
+    at_zero.write_text('{"detail": {}, "kind": "miss", "node": "F", "t": 0.0}\n')
+    return {
+        "nan-profile": (["check", RV, "--profiles", nan_profiles], "(at /profiles/0/lat_ms_mean)"),
+        "bad-factor": (["simulate", ORB, "--profiles", ORBS, "--disturb", bad_factor], "(at /0/factor)"),
+        "duration-nan": (["simulate", RV, "--profiles", RVS, "--duration", "nan"], "duration"),
+        "duration-negative": (["simulate", RV, "--profiles", RVS, "--duration", "-1"], "duration"),
+        "report-duration-zero": (["report", str(at_zero), "--duration", "0"], "duration"),
+        "report-all-at-zero": (["report", str(at_zero)], "duration"),
+    }
+
+
+def test_bad_inputs_are_schema_errors_without_traceback(tmp_path, capsys, caplog):
+    for name, (argv, names) in _bad_inputs(tmp_path).items():
+        assert main(argv) == 1, name
+        err = capsys.readouterr().err
+        assert "error[E-SCHEMA]" in err and names in err and "Traceback" not in err, (name, err)
+    assert not caplog.records  # the E-INTERNAL path logs the traceback here
+
+
 def test_check_feasible_exit_0(capsys):
     assert main(["check", RV, "--profiles", RVS]) == 0
     assert "feasible" in capsys.readouterr().out

@@ -1,9 +1,10 @@
-import json
 import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import _oracles
 from amstack import dsl, graph as G
 from amstack.errors import StackError
 
@@ -138,7 +139,7 @@ def test_bandwidth_cut_conservation(av):
     depth = g.depth()
     for k in range(1, max(depth.values()) + 1):
         upstream = {i for i, d in depth.items() if d < k}
-        assert math.isclose(G.cut_bandwidth(g, upstream), report.stage_cut_bps[k - 1])
+        assert math.isclose(_oracles.cut_bandwidth(g, upstream), report.stage_cut_bps[k - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -223,15 +224,6 @@ def test_critical_paths_bound():
 # export
 
 
-def test_graph_json_schema(av):
-    _, g, _ = av
-    doc = json.loads(G.graph_to_json(G.attach_bandwidth(G.buffer_sizing(g))))
-    assert set(doc) == {"nodes", "edges"}
-    assert set(doc["nodes"][0]) == {"id", "name", "kind", "freq_hz", "msg_bytes"}
-    assert set(doc["edges"][0]) == {"from", "to", "port", "capacity", "bw_bps"}
-    assert len(doc["nodes"]) == 12 and len(doc["edges"]) == 12
-
-
 def test_graph_dot_output(robot_vacuum):
     _, g, _ = robot_vacuum
     dot = G.graph_to_dot(g)
@@ -247,3 +239,61 @@ def test_bandwidth_zero_message_size_is_zero():
     report = G.aggregate_bandwidth(g)
     assert report.per_edge_bps[(0, 1, 0)] == 0.0
     assert report.stage_cut_bps == [0.0]
+
+
+# ---------------------------------------------------------------------------
+# indexed lookups against the scan oracles
+
+
+@st.composite
+def _graphs(draw):
+    """Small graphs with repeated names, unsorted edges and, half the time,
+    cycles (self-loops included)."""
+    n = draw(st.integers(1, 9))
+    nodes = tuple(
+        G.Node(i, draw(st.sampled_from("ABCD")), draw(st.sampled_from(["source", "operator"])), 10.0)
+        for i in range(n)
+    )
+    ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, 2))
+    edges = [G.Edge(p, c, port) for p, c, port in draw(st.lists(ends, max_size=18))]
+    if draw(st.booleans()):
+        rank = draw(st.permutations(range(n)))
+        edges = [e for e in edges if rank[e.producer] < rank[e.consumer]]
+    return G.ComputationGraph(nodes, tuple(edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graphs())
+def test_graph_lookups_match_scan_oracles(g):
+    for i in range(len(g.nodes) + 1):
+        assert list(g.in_edges(i)) == _oracles.in_edges(g, i)
+        assert list(g.out_edges(i)) == _oracles.out_edges(g, i)
+    assert g.source_ids == _oracles.source_ids(g)
+    assert g.sink_ids == _oracles.sink_ids(g)
+    for name in "ABCDE":
+        try:
+            expected = _oracles.by_name(g, name)
+        except KeyError:
+            with pytest.raises(KeyError):
+                g.by_name(name)
+        else:
+            assert g.by_name(name) is expected
+    try:
+        expected = _oracles.topo_order(g)
+    except StackError:
+        with pytest.raises(StackError) as err:
+            g.topo_order()
+        assert err.value.code == "E-CYCLE"
+    else:
+        assert g.topo_order() == expected
+
+
+def test_graph_indexes_are_read_only_and_not_fields(av):
+    _, g, _ = av
+    fresh = G.ComputationGraph(g.nodes, g.edges)
+    control = g.by_name("Control")  # builds the indexes of g, not of fresh
+    assert isinstance(g.in_edges(control.id), tuple) and g.sink_ids == {control.id}
+    assert isinstance(g.sink_ids, frozenset) and isinstance(g.source_ids, frozenset)
+    assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
+    with pytest.raises(TypeError):
+        g.name_index["Control"] = g.node(0)

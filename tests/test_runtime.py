@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -305,3 +306,42 @@ def test_disturbance_validation(robot_vacuum):
         _run(g, model, mapping, disturbances=[runtime.Disturbance("Control", 2.0, 0.8, 0.2)])
     with pytest.raises(StackError):  # window must lie within the run
         _run(g, model, mapping, duration=1.0, disturbances=[runtime.Disturbance("Control", 2.0, 0.5, 3.0)])
+
+
+
+@pytest.mark.parametrize(
+    "row, path",
+    [
+        ({"op": "F", "factor": "abc", "t0": 0.0, "t1": 1.0}, "/0/factor"),
+        ({"op": "F", "factor": float("nan"), "t0": 0.0, "t1": 1.0}, "/0/factor"),
+        ({"op": "F", "factor": 2.0, "t0": True, "t1": 1.0}, "/0/t0"),
+        ({"op": "F", "factor": 2.0, "t0": 0.0, "t1": float("inf")}, "/0/t1"),
+        ({"op": 5, "factor": 2.0, "t0": 0.0, "t1": 1.0}, "/0/op"),
+    ],
+)
+def test_disturbance_file_field_types(tmp_path, row, path):
+    p = tmp_path / "dist.json"
+    p.write_text(json.dumps([row]))
+    with pytest.raises(StackError) as err:
+        runtime.load_disturbances(str(p))
+    assert err.value.code == "E-SCHEMA"
+    assert err.value.path == path
+
+
+# Only the raise is asserted: a run with an unchecked infinite duration
+# would never end.
+_BAD_DURATIONS = [float("inf"), float("nan"), 0.0, -1.0, True]
+
+
+@pytest.mark.parametrize("duration", _BAD_DURATIONS)
+def test_sim_config_rejects_bad_duration(duration):
+    with pytest.raises(StackError) as err:
+        runtime.SimConfig(duration_s=duration)
+    assert err.value.code == "E-SCHEMA"
+
+
+@pytest.mark.parametrize("duration", _BAD_DURATIONS)
+def test_replay_rejects_bad_duration(duration):
+    with pytest.raises(StackError) as err:
+        runtime.replay(runtime.SimTrace(duration, ()))
+    assert err.value.code == "E-SCHEMA"
