@@ -1,4 +1,5 @@
-"""Golden digests of every byte-stable CLI output on the bundled fixtures.
+"""Golden digests of every byte-stable CLI output on the bundled fixtures,
+and of the simulation outputs of one multi-rate program.
 
 Criterion 9 and test_outputs_byte_stable compare two runs of the same code;
 this file compares against bytes recorded once, so a refactor that changes
@@ -10,6 +11,7 @@ CHANGES.md.
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 
@@ -28,7 +30,32 @@ FIXTURES = {
 }
 
 
-def _runs(name: str, out_dir: str) -> dict[str, list[str]]:
+# A multi-rate program the fixtures lack: one source feeds two sinks at
+# 100 Hz and 20 Hz whose emits coincide every 50 ms, the faster sink bound
+# first so it has the lower node id. One 1-core device is loaded to about
+# 100% (4 ms every 10 ms plus 31 ms every 50 ms), so jobs miss and some are
+# still running when the run ends. Equal-time events of the two sinks are
+# what pins the simulator's tie order.
+MULTIRATE_AMG = """\
+require Cam { frequency = 100 Hz; message_size = 1 KB }
+require Fast { frequency = 100 Hz; message_size = 1 KB }
+require Slow { frequency = 20 Hz; message_size = 1 KB }
+
+node fast = Fast(Cam)
+node slow = Slow(Cam)
+
+contract end_to_end { latency <= 20 ms }
+"""
+MULTIRATE_PROFILES = {
+    "devices": [{"id": "cpu0", "name": "cpu", "class": "cpu", "cores": 1, "link_bw_bps": 1e8, "idle_w": 1.0}],
+    "profiles": [
+        {"op": "Fast", "variant": "base", "class": "cpu", "lat_ms_mean": 4.0, "lat_ms_std": 0.5, "energy_mj": 2.0},
+        {"op": "Slow", "variant": "base", "class": "cpu", "lat_ms_mean": 31.0, "lat_ms_std": 3.0, "energy_mj": 9.0},
+    ],
+}
+
+
+def _fixture_runs(name: str, out_dir: str) -> dict[str, list[str]]:
     """Run name -> argv, without --format and --out (added by _digests)."""
     amg, profiles, disturb, seconds = FIXTURES[name]
     spec = [fixtures.path(amg), "--profiles", fixtures.path(profiles)]
@@ -40,6 +67,12 @@ def _runs(name: str, out_dir: str) -> dict[str, list[str]]:
         "check-100ms": ["check", *spec, "--contract", "end_to_end latency <= 100 ms"],
         "schedule": ["schedule", *spec],
         "envelope": ["envelope", *spec, "--limit", "64", "--seed", "3"],
+        **_simulation_runs(spec, stochastic, seconds, out_dir),
+    }
+
+
+def _simulation_runs(spec: list[str], stochastic: list[str], seconds: str, out_dir: str) -> dict[str, list[str]]:
+    return {
         "simulate": ["simulate", *spec, "--force", "--duration", "2"],
         "simulate-adapt": ["simulate", *spec, "--force", *stochastic],
         "report": ["report", os.path.join(out_dir, "simulate", "trace.jsonl"), "--duration", "2"],
@@ -47,10 +80,21 @@ def _runs(name: str, out_dir: str) -> dict[str, list[str]]:
     }
 
 
-def _digests(name: str, out_dir: str) -> dict[str, tuple[int, dict[str, str]]]:
+def _multirate_runs(out_dir: str) -> dict[str, list[str]]:
+    amg = os.path.join(out_dir, "multirate.amg")
+    profiles = os.path.join(out_dir, "multirate_substrate.json")
+    with open(amg, "w", encoding="utf-8") as fh:
+        fh.write(MULTIRATE_AMG)
+    with open(profiles, "w", encoding="utf-8") as fh:
+        json.dump(MULTIRATE_PROFILES, fh)
+    stochastic = ["--duration", "2", "--stochastic", "--seed", "7", "--adapt"]
+    return _simulation_runs([amg, "--profiles", profiles], stochastic, "2", out_dir)
+
+
+def _digests(runs: dict[str, list[str]], out_dir: str) -> dict[str, tuple[int, dict[str, str]]]:
     """Run name -> (exit code, {stdout or written file: sha256})."""
     result = {}
-    for run, argv in _runs(name, out_dir).items():
+    for run, argv in runs.items():
         run_dir = os.path.join(out_dir, run)
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
@@ -173,9 +217,36 @@ GOLDEN = {'av': {'check': (0,
                                                'trace.jsonl': 'd33c54e5ce9f380c03f0ca3ae2f44c1f9960944b804ecbd29cf7c8b7afbd6c79'})}}
 
 
+GOLDEN_MULTIRATE = {'report': (0,
+                               {'metrics.json': '61361af020587d06d8243e1accaef8445f3c6f456a31d08ee5dc07e3b3f96804',
+                                'stdout': '61361af020587d06d8243e1accaef8445f3c6f456a31d08ee5dc07e3b3f96804'}),
+                    'report-adapt': (0,
+                                     {'metrics.json': '03c64fc73a76380e582cae5aa1fba5e78f6cc04fa902999abf97f54095494efd',
+                                      'stdout': '03c64fc73a76380e582cae5aa1fba5e78f6cc04fa902999abf97f54095494efd'}),
+                    'simulate': (3,
+                                 {'metrics.json': '52684ee3e4e294f136baca55cca04a54d604b5718b958f1f918e60742415bf47',
+                                  'stdout': '52684ee3e4e294f136baca55cca04a54d604b5718b958f1f918e60742415bf47',
+                                  'trace.jsonl': '251926fe5d39ee960d83a4360fadca59edbe476b3c53de16dbbe2925de2b974b'}),
+                    'simulate-adapt': (3,
+                                       {'metrics.json': 'fcb843d10b92989de58764814b560e79c5803647d72769c20a3717dfbc308c6d',
+                                        'stdout': 'fcb843d10b92989de58764814b560e79c5803647d72769c20a3717dfbc308c6d',
+                                        'trace.jsonl': '3bd06bb0d30fc49a0e0c7f9a721dff25b4d03d9dfae660386b6297d87b0fa74b'})}
+
+
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_cli_outputs_match_golden_digests(name, tmp_path):
-    assert _digests(name, str(tmp_path)) == GOLDEN[name]
+    assert _digests(_fixture_runs(name, str(tmp_path)), str(tmp_path)) == GOLDEN[name]
+
+
+def test_multirate_simulation_matches_golden_digests(tmp_path):
+    assert _digests(_multirate_runs(str(tmp_path)), str(tmp_path)) == GOLDEN_MULTIRATE
+    # the pin covers what it was built for: misses, and jobs cut off by the end
+    with open(tmp_path / "simulate" / "trace.jsonl", encoding="utf-8") as fh:
+        events = [json.loads(line) for line in fh]
+    started = {e["detail"]["job"] for e in events if e["kind"] == "start"}
+    finished = {e["detail"]["job"] for e in events if e["kind"] == "finish"}
+    assert any(e["kind"] == "miss" for e in events)
+    assert started - finished
 
 
 if __name__ == "__main__":
@@ -183,4 +254,9 @@ if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        pprint.pprint({n: _digests(n, os.path.join(tmp, n)) for n in sorted(FIXTURES)}, sys.stdout, width=120)
+        pprint.pprint(
+            {n: _digests(_fixture_runs(n, os.path.join(tmp, n)), os.path.join(tmp, n)) for n in sorted(FIXTURES)},
+            sys.stdout,
+            width=120,
+        )
+        pprint.pprint(_digests(_multirate_runs(tmp), tmp), sys.stdout, width=120)
