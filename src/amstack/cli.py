@@ -167,8 +167,7 @@ def cmd_simulate(args) -> int:
         adaptation=args.adapt,
         adaptation_params=params,
     )
-    sized = graphmod.buffer_sizing(graph)
-    trace, metrics = runtime.simulate(sized, model, mapping, contracts, config, disturbances)
+    trace, metrics = runtime.simulate(graph, model, mapping, contracts, config, disturbances)
     metrics_text = runtime.metrics_to_json(metrics)
     if args.out:
         _write(args, "trace.jsonl", runtime.trace_to_jsonl(trace))

@@ -299,27 +299,9 @@ class ProgramAST:
 
 
 @dataclass(frozen=True)
-class SourceDecl:
-    name: str
-    frequency: FreqSpec
-    resolution: object = None
-    message_size: int | None = None
-    extra: tuple[ExtraAttr, ...] = ()
-
-
-@dataclass(frozen=True)
-class OperatorDecl:
-    name: str
-    frequency: FreqSpec
-    output_message_size: int | None = None
-    resolution: object = None
-    extra: tuple[ExtraAttr, ...] = ()
-
-
-@dataclass(frozen=True)
 class ResolvedProgram:
-    sources: tuple[SourceDecl, ...]
-    operators: tuple[OperatorDecl, ...]
+    sources: tuple[RequireDecl, ...]
+    operators: tuple[RequireDecl, ...]
     bindings: tuple[Binding, ...]
     maps: tuple[MapStmt, ...]
     contracts: tuple[ContractStmt, ...]
@@ -727,16 +709,8 @@ def resolve(ast: ProgramAST) -> tuple[ResolvedProgram | None, list[Diagnostic]]:
     if has_errors(diags):
         return None, diags
 
-    sources = tuple(
-        SourceDecl(d.name, d.frequency, d.resolution, d.message_size, d.extra)
-        for d in ast.decls
-        if d.name in source_names
-    )
-    operators = tuple(
-        OperatorDecl(d.name, d.frequency, d.message_size, d.resolution, d.extra)
-        for d in ast.decls
-        if d.name in operator_names
-    )
+    sources = tuple(d for d in ast.decls if d.name in source_names)
+    operators = tuple(d for d in ast.decls if d.name in operator_names)
     return ResolvedProgram(sources, operators, ast.bindings, ast.maps, ast.contracts), diags
 
 
@@ -784,26 +758,22 @@ def _fmt_extra(a: ExtraAttr) -> str:
     return f"{a.key} {a.op} {_fmt_num(a.value)}{unit[a.dimension]}"
 
 
-def _fmt_require(name, freq, resolution, message_size, extra) -> str:
-    parts = [f"frequency {freq.op} {_fmt_num(freq.hz)} Hz"]
-    if resolution is not None:
-        if isinstance(resolution, tuple):
-            parts.append(f"resolution = {resolution[0]}x{resolution[1]}")
+def _fmt_require(d: RequireDecl) -> str:
+    parts = [f"frequency {d.frequency.op} {_fmt_num(d.frequency.hz)} Hz"]
+    if d.resolution is not None:
+        if isinstance(d.resolution, tuple):
+            parts.append(f"resolution = {d.resolution[0]}x{d.resolution[1]}")
         else:
-            parts.append(f"resolution = {resolution}")
-    if message_size is not None:
-        parts.append(f"message_size = {message_size} B")
-    parts.extend(_fmt_extra(a) for a in extra)
-    return f"require {name} {{ {'; '.join(parts)} }}"
+            parts.append(f"resolution = {d.resolution}")
+    if d.message_size is not None:
+        parts.append(f"message_size = {d.message_size} B")
+    parts.extend(_fmt_extra(a) for a in d.extra)
+    return f"require {d.name} {{ {'; '.join(parts)} }}"
 
 
 def pretty_print(program: ResolvedProgram) -> str:
     """Canonical text form; reparsing and resolving it reproduces the input."""
-    lines = []
-    for s in program.sources:
-        lines.append(_fmt_require(s.name, s.frequency, s.resolution, s.message_size, s.extra))
-    for o in program.operators:
-        lines.append(_fmt_require(o.name, o.frequency, o.resolution, o.output_message_size, o.extra))
+    lines = [_fmt_require(d) for d in program.sources + program.operators]
     for b in program.bindings:
         lines.append(f"node {b.result} = {b.operator}({', '.join(b.inputs)})")
     for m in program.maps:

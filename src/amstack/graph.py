@@ -180,7 +180,7 @@ def lower(program: ResolvedProgram) -> tuple[ComputationGraph, list[Diagnostic]]
             b.operator,
             "operator",
             o.frequency.hz,
-            o.output_message_size,
+            o.message_size,
             constraint.get(b.operator),
         )
         nodes.append(node)

@@ -16,12 +16,16 @@ the activation instant.
 A job's deadline is its activation plus one period. Jobs that have not
 finished by their deadline log a miss at the deadline instant (so stalls
 longer than the run still show up) and their output is still delivered
-when they do finish, overwriting the newest buffer slot.
+when they do finish, replacing its producer's latest sample.
+
+Each producer holds just its latest sample, which every consumer reads;
+edge buffer capacities (graph.buffer_sizing) are a memory-footprint
+analysis and never change a trace.
 
 Sink nodes additionally emit one command per period, at the deadline,
-no matter what: the emission carries the freshest buffered inputs with a
-per-port staleness reading (flagged stale past 2 producer periods). This
-is what keeps actuation cadence independent of upstream stalls.
+no matter what: the emission carries the freshest inputs with a per-port
+staleness reading (flagged stale past 2 producer periods). This is what
+keeps actuation cadence independent of upstream stalls.
 
 Samples carry provenance: an output's origin is the oldest origin among
 the inputs its producing job consumed. End-to-end latency is measured at
@@ -57,12 +61,12 @@ import numpy as np
 
 from .dsl import ContractStmt
 from .errors import StackError
-from .graph import ComputationGraph, buffer_sizing
+from .graph import ComputationGraph
 from .scheduler import Mapping, analytic_latency, decompose_contract
 from .substrate import SubstrateModel, allowed_classes, assigned_profile, finite_number, query
 
 # event priorities at equal timestamps: finishes publish and free lanes
-# first, sensor data lands before consumers activate, misses are checked
+# first, sensor data lands before consumers activate, misses are logged
 # before the deadline emission goes out
 _FINISH, _START, _SOURCE_EMIT, _ACTIVATE, _DEADLINE, _SINK_EMIT = range(6)
 
@@ -186,11 +190,8 @@ class _Job:
     service_s: float
     device_id: str
     lane: int
-    start_t: float
-    finish_t: float
     origin_t: float | None
     energy_mj: float
-    finished: bool = False
 
 
 class _Adaptation:
@@ -263,8 +264,6 @@ class _Simulator:
         config: SimConfig,
         disturbances: list[Disturbance],
     ):
-        if any(e.buffer_capacity is None for e in graph.edges):
-            graph = buffer_sizing(graph)
         self.graph = graph
         self.model = model
         self.config = config
@@ -283,18 +282,17 @@ class _Simulator:
                 )
         self.disturbances = disturbances
 
-        self.buffers: dict[tuple[int, int, int], deque] = {
-            (e.producer, e.consumer, e.port): deque(maxlen=e.buffer_capacity) for e in graph.edges
-        }
+        self.latest: dict[int, _Sample] = {}  # producer id -> its newest output
         self.lane_free: dict[str, list[float]] = {d.id: [0.0] * d.core_count for d in model.devices}
         self.busy_done_s: dict[str, float] = {d.id: 0.0 for d in model.devices}
         self.rng: dict[int, random.Random] = {
             n.id: random.Random(f"{config.seed}/{n.name}") for n in graph.operator_nodes()
         }
         self.events: list[TraceEvent] = []
+        # pending work only: (t, priority, tie key, payload), where the tie
+        # key is the node id of a release or sink emit and the job id of a
+        # job event; the two kinds never share a priority
         self.heap: list = []
-        self.seq = 0
-        self.jobs: dict[int, _Job] = {}
         self.next_job_id = 0
 
         budgets: dict[int, float] = {}
@@ -312,9 +310,8 @@ class _Simulator:
 
     # -- plumbing --------------------------------------------------------
 
-    def push(self, t: float, prio: int, kind: str, payload):
-        heapq.heappush(self.heap, (t, prio, self.seq, kind, payload))
-        self.seq += 1
+    def push(self, t: float, prio: int, key: int, payload):
+        heapq.heappush(self.heap, (t, prio, key, payload))
 
     def log(self, t: float, node: str, kind: str, detail: dict):
         self.events.append(TraceEvent(t, node, kind, detail))
@@ -348,13 +345,12 @@ class _Simulator:
         flags: dict[str, bool] = {}
         origin: float | None = None
         for e in sorted(self.graph.in_edges(nid), key=lambda e: e.port):
-            buf = self.buffers[(e.producer, e.consumer, e.port)]
+            sample = self.latest.get(e.producer)
             key = str(e.port)
-            if not buf:
+            if sample is None:
                 staleness[key] = None
                 flags[key] = False
                 continue
-            sample = buf[-1]
             age_s = t - sample.produced_t
             staleness[key] = age_s * 1000.0
             producer_period = 1.0 / self.graph.node(e.producer).required_freq_hz
@@ -364,37 +360,41 @@ class _Simulator:
 
     # -- event handlers ----------------------------------------------------
 
+    def release(self, node, k: int):
+        """Queue release k of a node if it falls inside the run. The node id
+        is the tie key, so equal-time releases pop in node-id order."""
+        t = k / node.required_freq_hz
+        if t < self.config.duration_s - 1e-9:
+            self.push(t, _SOURCE_EMIT if node.kind == "source" else _ACTIVATE, node.id, k)
+
     def run(self) -> SimTrace:
-        duration = self.config.duration_s
-        eps = 1e-9
-        for n in sorted(self.graph.nodes, key=lambda n: n.id):
-            period = 1.0 / n.required_freq_hz
-            k = 0
-            while (t := k / n.required_freq_hz) < duration - eps:
-                if n.kind == "source":
-                    self.push(t, _SOURCE_EMIT, "source_emit", n.id)
-                else:
-                    self.push(t, _ACTIVATE, "activate", (n.id, k))
-                    if n.id in self.graph.sink_ids and t + period <= duration + eps:
-                        self.push(t + period, _SINK_EMIT, "sink_emit", (n.id, t))
-                k += 1
-
+        for n in self.graph.nodes:
+            self.release(n, 0)
+        handlers = (  # indexed by event priority
+            self._on_job_finish,
+            self._on_job_start,
+            self._on_source_emit,
+            self._on_activate,
+            self._on_deadline,
+            self._on_sink_emit,
+        )
+        end = self.config.duration_s + 1e-9
         while self.heap:
-            t, prio, _, kind, payload = heapq.heappop(self.heap)
-            if t > self.config.duration_s + eps:
+            t, prio, key, payload = heapq.heappop(self.heap)
+            if t > end:
                 break
-            getattr(self, "_on_" + kind)(t, payload)
-        return SimTrace(duration, tuple(self.events))
+            handlers[prio](t, key, payload)
+        return SimTrace(self.config.duration_s, tuple(self.events))
 
-    def _on_source_emit(self, t: float, nid: int):
+    def _on_source_emit(self, t: float, nid: int, k: int):
         node = self.graph.node(nid)
-        for e in self.graph.out_edges(nid):
-            self.buffers[(e.producer, e.consumer, e.port)].append(_Sample(t, t))
+        self.release(node, k + 1)
+        self.latest[nid] = _Sample(t, t)
         self.log(t, node.name, "emit", {"produced_t": t})
 
-    def _on_activate(self, t: float, payload):
-        nid, _k = payload
+    def _on_activate(self, t: float, nid: int, k: int):
         node = self.graph.node(nid)
+        self.release(node, k + 1)
         staleness, _flags, origin = self.read_inputs(nid, t)
         service, energy = self.draw_service(node, t)
         dev_id, _variant = self.assignment[nid]
@@ -403,21 +403,24 @@ class _Simulator:
         start = max(t, lanes[lane])
         finish = start + service
         lanes[lane] = finish
-        job = _Job(
-            self.next_job_id, nid, t, t + 1.0 / node.required_freq_hz, service, dev_id, lane, start, finish, origin, energy
-        )
+        period = 1.0 / node.required_freq_hz
+        job = _Job(self.next_job_id, nid, t, t + period, service, dev_id, lane, origin, energy)
         self.next_job_id += 1
-        self.jobs[job.job_id] = job
         self.log(t, node.name, "activate", {"job": job.job_id, "staleness_ms": staleness})
-        dur = self.config.duration_s
-        if start <= dur + 1e-9:
-            self.push(start, _START, "job_start", job.job_id)
-        if finish <= dur + 1e-9:
-            self.push(finish, _FINISH, "job_finish", job.job_id)
-        self.push(job.deadline_t, _DEADLINE, "deadline", job.job_id)
+        end = self.config.duration_s + 1e-9
+        if start <= end:
+            self.push(start, _START, job.job_id, job)
+        if finish <= end:
+            self.push(finish, _FINISH, job.job_id, job)
+        # a job misses iff it finishes after its deadline: lanes never
+        # preempt, so the finish is known here, and a finish exactly at the
+        # deadline pops first (_FINISH < _DEADLINE)
+        if finish > job.deadline_t:
+            self.push(job.deadline_t, _DEADLINE, job.job_id, job)
+        if nid in self.graph.sink_ids and t + period <= end:
+            self.push(t + period, _SINK_EMIT, nid, t)
 
-    def _on_job_start(self, t: float, job_id: int):
-        job = self.jobs[job_id]
+    def _on_job_start(self, t: float, job_id: int, job: _Job):
         dev = self.model.device(job.device_id)
         self.log(
             t,
@@ -426,15 +429,10 @@ class _Simulator:
             {"job": job_id, "device": job.device_id, "lane": job.lane, "cores": dev.core_count},
         )
 
-    def _on_job_finish(self, t: float, job_id: int):
-        job = self.jobs[job_id]
-        job.finished = True
+    def _on_job_finish(self, t: float, job_id: int, job: _Job):
         node = self.graph.node(job.node_id)
         self.busy_done_s[job.device_id] += job.service_s
-        for e in self.graph.out_edges(job.node_id):
-            self.buffers[(e.producer, e.consumer, e.port)].append(
-                _Sample(t, job.origin_t if job.origin_t is not None else job.activation_t)
-            )
+        self.latest[job.node_id] = _Sample(t, job.origin_t if job.origin_t is not None else job.activation_t)
         response_ms = (t - job.activation_t) * 1000.0
         detail = {
             "job": job_id,
@@ -452,13 +450,10 @@ class _Simulator:
         if self.adaptation is not None:
             self.adaptation.on_completion(self, job.node_id, t, response_ms)
 
-    def _on_deadline(self, t: float, job_id: int):
-        job = self.jobs[job_id]
-        if not job.finished:
-            self.log(t, self.graph.node(job.node_id).name, "miss", {"job": job_id, "deadline_t": t})
+    def _on_deadline(self, t: float, job_id: int, job: _Job):
+        self.log(t, self.graph.node(job.node_id).name, "miss", {"job": job_id, "deadline_t": t})
 
-    def _on_sink_emit(self, t: float, payload):
-        nid, activation_t = payload
+    def _on_sink_emit(self, t: float, nid: int, activation_t: float):
         node = self.graph.node(nid)
         staleness, flags, origin = self.read_inputs(nid, t)
         self.log(
@@ -507,11 +502,6 @@ def replay(
     contracts = list(contracts or [])
     duration = trace.duration_s
     _check_duration(duration)
-    last_t = None
-    for e in trace.events:
-        if last_t is not None and e.t < last_t - 1e-12:
-            raise StackError("E-MALFORMED", "trace timestamps must be nondecreasing")
-        last_t = e.t
 
     activates: dict[str, int] = {}
     responses: dict[str, list[float]] = {}
@@ -532,40 +522,54 @@ def replay(
         misses.setdefault(name, 0)
         emits.setdefault(name, [])
 
-    for e in trace.events:
-        _touch(e.node)
-        if e.kind == "activate":
-            activates[e.node] += 1
-            for v in e.detail.get("staleness_ms", {}).values():
-                if v is not None:
-                    max_stale[e.node] = max(max_stale.get(e.node, 0.0), v)
-        elif e.kind == "start":
-            d = e.detail
-            open_starts[d["job"]] = (d["device"], e.t)
-            cores[d["device"]] = d["cores"]
-            busy_ms.setdefault(d["device"], 0.0)
-        elif e.kind == "finish":
-            d = e.detail
-            responses[e.node].append(d["response_ms"])
-            energy_mj_total += d.get("energy_mj", 0.0)
-            if d["job"] in open_starts:
-                dev, start_t = open_starts.pop(d["job"])
-                busy_ms[dev] = busy_ms.get(dev, 0.0) + (e.t - start_t) * 1000.0
-            if d.get("sink") and d.get("e2e_ms") is not None:
-                sink_names.add(e.node)
-                e2e_samples.setdefault(e.node, []).append(d["e2e_ms"])
-        elif e.kind == "miss":
-            misses[e.node] += 1
-        elif e.kind == "emit":
-            emits[e.node].append(e.t)
-            if "stale" in e.detail:
-                sink_names.add(e.node)
-                stale_emits.setdefault(e.node, 0)
-                if any(e.detail["stale"].values()):
-                    stale_emits[e.node] += 1
+    last_t = 0.0
+    try:
+        for i, e in enumerate(trace.events):
+            # written so that NaN fails it, and a string or None raises
+            if not (last_t - 1e-12 <= e.t < math.inf):
+                raise StackError("E-MALFORMED", f"trace event {i + 1}: times must be finite, >= 0, nondecreasing")
+            last_t = e.t
+            _touch(e.node)
+            if e.kind == "activate":
+                activates[e.node] += 1
                 for v in e.detail.get("staleness_ms", {}).values():
                     if v is not None:
                         max_stale[e.node] = max(max_stale.get(e.node, 0.0), v)
+            elif e.kind == "start":
+                d = e.detail
+                open_starts[d["job"]] = (d["device"], e.t)
+                cores[d["device"]] = d["cores"]
+                busy_ms.setdefault(d["device"], 0.0)
+            elif e.kind == "finish":
+                d = e.detail
+                responses[e.node].append(d["response_ms"])
+                energy_mj_total += d.get("energy_mj", 0.0)
+                if d["job"] in open_starts:
+                    dev, start_t = open_starts.pop(d["job"])
+                    busy_ms[dev] = busy_ms.get(dev, 0.0) + (e.t - start_t) * 1000.0
+                if d.get("sink") and d.get("e2e_ms") is not None:
+                    sink_names.add(e.node)
+                    e2e_samples.setdefault(e.node, []).append(d["e2e_ms"])
+            elif e.kind == "miss":
+                misses[e.node] += 1
+            elif e.kind == "emit":
+                emits[e.node].append(e.t)
+                if "stale" in e.detail:
+                    sink_names.add(e.node)
+                    stale_emits.setdefault(e.node, 0)
+                    if any(e.detail["stale"].values()):
+                        stale_emits[e.node] += 1
+                    for v in e.detail.get("staleness_ms", {}).values():
+                        if v is not None:
+                            max_stale[e.node] = max(max_stale.get(e.node, 0.0), v)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise StackError("E-MALFORMED", f"trace event {i + 1} ({e.kind!r} at t={e.t!r}): bad field {exc}") from exc
+    for name in activates:
+        if not isinstance(name, str):
+            raise StackError("E-MALFORMED", f"trace node names must be strings, got {name!r}")
+    for dev, n in cores.items():
+        if not (isinstance(dev, str) and type(n) is int and n >= 1):
+            raise StackError("E-MALFORMED", f"start events need a string device and integer cores >= 1: {dev!r}, {n!r}")
 
     # jobs still running when the window closed count as busy to the end
     for job_id, (dev, start_t) in open_starts.items():

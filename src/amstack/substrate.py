@@ -140,7 +140,7 @@ def validate_coverage(model: SubstrateModel, graph: ComputationGraph) -> list[Di
 
 
 # ---------------------------------------------------------------------------
-# Load / save
+# Load
 
 _DEVICE_FIELDS = {"id", "name", "class", "cores", "link_bw_bps", "idle_w"}
 _PROFILE_FIELDS = {"op", "variant", "class", "lat_ms_mean", "lat_ms_std", "energy_mj"}
@@ -234,33 +234,6 @@ def model_from_dict(doc: dict) -> SubstrateModel:
     return SubstrateModel(tuple(devices), tuple(profiles))
 
 
-def model_to_dict(model: SubstrateModel) -> dict:
-    return {
-        "devices": [
-            {
-                "id": d.id,
-                "name": d.name,
-                "class": d.device_class,
-                "cores": d.core_count,
-                "link_bw_bps": d.link_bandwidth_bps,
-                "idle_w": d.idle_power_w,
-            }
-            for d in model.devices
-        ],
-        "profiles": [
-            {
-                "op": p.operator,
-                "variant": p.variant,
-                "class": p.device_class,
-                "lat_ms_mean": p.latency_mean_ms,
-                "lat_ms_std": p.latency_std_ms,
-                "energy_mj": p.energy_per_invocation_mj,
-            }
-            for p in model.profiles
-        ],
-    }
-
-
 def load_profiles(path: str) -> SubstrateModel:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -271,8 +244,3 @@ def load_profiles(path: str) -> SubstrateModel:
         raise StackError("E-SCHEMA", f"{path} is not valid JSON: {exc}") from exc
     return model_from_dict(doc)
 
-
-def save_profiles(model: SubstrateModel, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")

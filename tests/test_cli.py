@@ -46,6 +46,25 @@ def test_bad_inputs_are_schema_errors_without_traceback(tmp_path, capsys, caplog
     assert not caplog.records  # the E-INTERNAL path logs the traceback here
 
 
+def test_malformed_traces_exit_1_without_traceback(tmp_path, capsys, caplog):
+    lines = [
+        '{"detail": {"job": 0}, "kind": "finish", "node": "F", "t": 0.5}',
+        '{"detail": {}, "kind": "miss", "node": "F", "t": 0.1}\n{"detail": {}, "kind": "miss", "node": "F", "t": "x"}',
+        '{"detail": {"cores": 0, "device": "d0", "job": 0, "lane": 0}, "kind": "start", "node": "F", "t": 0.0}',
+        '{"detail": {}, "kind": "miss", "node": 3, "t": 0.1}',
+        '{"detail": {"job": 0, "staleness_ms": [1]}, "kind": "activate", "node": "F", "t": 0.1}',
+        '{"detail": {"stale": 5}, "kind": "emit", "node": "F", "t": 0.1}',
+        '{"detail": {}, "kind": "miss", "node": "F", "t": NaN}',
+    ]
+    for i, text in enumerate(lines):
+        path = tmp_path / f"trace{i}.jsonl"
+        path.write_text(text + "\n")
+        assert main(["report", str(path), "--duration", "1"]) == 1, text
+        err = capsys.readouterr().err
+        assert "error[E-MALFORMED]" in err and "Traceback" not in err, (text, err)
+    assert not caplog.records
+
+
 def test_check_feasible_exit_0(capsys):
     assert main(["check", RV, "--profiles", RVS]) == 0
     assert "feasible" in capsys.readouterr().out

@@ -345,3 +345,26 @@ def test_replay_rejects_bad_duration(duration):
     with pytest.raises(StackError) as err:
         runtime.replay(runtime.SimTrace(duration, ()))
     assert err.value.code == "E-SCHEMA"
+
+
+# Hand-written traces, each wrong in one field, and what the error names.
+_MALFORMED_TRACES = {
+    "finish-without-response": ([(0.5, "F", "finish", {"job": 0})], "event 1"),
+    "string-t-after-number": ([(0.1, "F", "miss", {}), ("0.2", "F", "miss", {})], "event 2"),
+    "nan-t": ([(float("nan"), "F", "miss", {})], "event 1"),
+    "negative-t": ([(-0.1, "F", "miss", {})], "event 1"),
+    "zero-cores": ([(0.0, "F", "start", {"job": 0, "device": "d0", "lane": 0, "cores": 0})], "'d0'"),
+    "integer-node": ([(0.1, "F", "miss", {}), (0.2, 3, "miss", {})], "got 3"),
+    "staleness-list": ([(0.1, "F", "activate", {"job": 0, "staleness_ms": [1]})], "event 1"),
+    "stale-number": ([(0.1, "F", "emit", {"stale": 5})], "event 1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED_TRACES))
+def test_malformed_trace_fields_are_e_malformed(name):
+    rows, names = _MALFORMED_TRACES[name]
+    text = "".join(json.dumps({"t": t, "node": n, "kind": k, "detail": d}) + "\n" for t, n, k, d in rows)
+    with pytest.raises(StackError) as err:
+        runtime.replay(runtime.trace_from_jsonl(text, duration_s=1.0))
+    assert err.value.code == "E-MALFORMED"
+    assert names in err.value.message

@@ -137,13 +137,6 @@ def test_coverage_monotone_in_profiles():
     assert len(substrate.validate_coverage(richer, g)) <= n_before
 
 
-def test_save_load_roundtrip(tmp_path, orb):
-    _, _, model = orb
-    out = tmp_path / "copy.json"
-    substrate.save_profiles(model, str(out))
-    assert substrate.load_profiles(str(out)) == model
-
-
 def test_comm_cost_model(diamond):
     _, _, model = diamond
     assert model.comm_cost_ms("d0", "d0", 10**6) == 0.0
