@@ -46,16 +46,38 @@ the node cannot change again.
 
 Metrics are a pure function of the trace: simulate() computes them by
 replaying its own trace, and replay() reproduces them from a stored one.
+
+Trace files
+-----------
+trace.jsonl holds one JSON object per event, byte-equal to
+json.dumps(event, sort_keys=True). trace_to_jsonl writes the six event
+shapes the simulator logs (activate, start, finish, miss, source emit and
+sink emit) from fixed line templates and hands any other shape or value
+(remap, variant_switch, NaN or infinity, numbers that are not exactly int
+or float, non-string port keys, missing or extra keys) to json.dumps
+itself. trace_from_jsonl parses each line on its own, so a line holding
+anything but one event object is an error that names it.
+
+Both the run and the parse build hundreds of thousands of event tuples and
+detail dicts that form no reference cycles, yet CPython's cyclic collector
+would rescan all of them again and again as the trace grows. So the
+collector is paused while they are built; reference counting still frees
+everything that is dropped, and a cycle made meanwhile is collected once
+the collector runs again.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 import json
 import math
 import random
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_str
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,8 +130,7 @@ class Disturbance:
     t_end: float
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     t: float
     node: str
     kind: str  # activate | start | finish | miss | emit | remap | variant_switch
@@ -481,8 +502,23 @@ def simulate(
         config = SimConfig(duration_s=1.0)
     contracts = list(contracts or [])
     sim = _Simulator(graph, model, mapping, contracts, config, list(disturbances or []))
-    trace = sim.run()
-    return trace, replay(trace, contracts=contracts, model=model)
+    with _collector_paused():
+        trace = sim.run()
+        return trace, replay(trace, contracts=contracts, model=model)
+
+
+@contextmanager
+def _collector_paused():
+    """Pause automatic cyclic garbage collection, then restore its previous
+    state. Safe around code that builds many objects but no reference
+    cycles (see "Trace files" above)."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -542,14 +578,20 @@ def replay(
                 busy_ms.setdefault(d["device"], 0.0)
             elif e.kind == "finish":
                 d = e.detail
-                responses[e.node].append(d["response_ms"])
+                response_ms, e2e_ms = d["response_ms"], d.get("e2e_ms")
+                # a float is checked inline, anything else by finite_number
+                if not (type(response_ms) is float and response_ms - response_ms == 0.0 or finite_number(response_ms)):
+                    _not_a_number(i, e, "response_ms")
+                if not (e2e_ms is None or type(e2e_ms) is float and e2e_ms - e2e_ms == 0.0 or finite_number(e2e_ms)):
+                    _not_a_number(i, e, "e2e_ms")
+                responses[e.node].append(response_ms)
                 energy_mj_total += d.get("energy_mj", 0.0)
                 if d["job"] in open_starts:
                     dev, start_t = open_starts.pop(d["job"])
                     busy_ms[dev] = busy_ms.get(dev, 0.0) + (e.t - start_t) * 1000.0
-                if d.get("sink") and d.get("e2e_ms") is not None:
+                if d.get("sink") and e2e_ms is not None:
                     sink_names.add(e.node)
-                    e2e_samples.setdefault(e.node, []).append(d["e2e_ms"])
+                    e2e_samples.setdefault(e.node, []).append(e2e_ms)
             elif e.kind == "miss":
                 misses[e.node] += 1
             elif e.kind == "emit":
@@ -646,28 +688,178 @@ def replay(
     return MetricsReport(duration, per_node, per_device, end_to_end, verdicts)
 
 
+def _not_a_number(i: int, e: TraceEvent, key: str):
+    raise StackError(
+        "E-MALFORMED", f"trace event {i + 1} ({e.kind!r} at t={e.t!r}): {key} must be a finite number, got {e.detail[key]!r}"
+    )
+
+
 # ---------------------------------------------------------------------------
 # Trace persistence
 
 
+# Line templates for the event shapes the simulator logs. Each takes a
+# detail dict and returns its JSON text, or None when a key or a value is
+# not of the one form the template writes: a str, a finite float (written
+# by float.__repr__, as json does), an int (int.__repr__), a bool, None.
+
+
+def _finite(x) -> bool:
+    return type(x) is float and x - x == 0.0  # inf - inf and NaN - NaN are NaN
+
+
+def _staleness_text(ports) -> str | None:
+    if type(ports) is not dict:
+        return None
+    parts = []
+    for key in sorted(ports):
+        v = ports[key]
+        if type(key) is not str:
+            return None
+        if v is None:
+            parts.append(f"{_json_str(key)}: null")
+        elif type(v) is float and v - v == 0.0:
+            parts.append(f"{_json_str(key)}: {v!r}")
+        else:
+            return None
+    return "{" + ", ".join(parts) + "}"
+
+
+def _stale_text(ports) -> str | None:
+    if type(ports) is not dict:
+        return None
+    parts = []
+    for key in sorted(ports):
+        v = ports[key]
+        if type(key) is not str or type(v) is not bool:
+            return None
+        parts.append(f"{_json_str(key)}: {'true' if v else 'false'}")
+    return "{" + ", ".join(parts) + "}"
+
+
+_ACTIVATE_KEYS = frozenset(("job", "staleness_ms"))
+_START_KEYS = frozenset(("cores", "device", "job", "lane"))
+_FINISH_KEYS = frozenset(
+    ("activation_t", "device", "e2e_ms", "energy_mj", "job", "lane", "late", "response_ms", "service_ms", "sink")
+)
+_MISS_KEYS = frozenset(("deadline_t", "job"))
+_SOURCE_EMIT_KEYS = frozenset(("produced_t",))
+_SINK_EMIT_KEYS = frozenset(("activation_t", "age_ms", "stale", "staleness_ms"))
+
+
+def _activate_text(d) -> str | None:
+    if d.keys() != _ACTIVATE_KEYS or type(d["job"]) is not int:
+        return None
+    staleness = _staleness_text(d["staleness_ms"])
+    return None if staleness is None else f'{{"job": {d["job"]!r}, "staleness_ms": {staleness}}}'
+
+
+def _start_text(d) -> str | None:
+    if d.keys() != _START_KEYS:
+        return None
+    cores, device, job, lane = d["cores"], d["device"], d["job"], d["lane"]
+    if not (type(cores) is type(job) is type(lane) is int and type(device) is str):
+        return None
+    return f'{{"cores": {cores!r}, "device": {_json_str(device)}, "job": {job!r}, "lane": {lane!r}}}'
+
+
+def _finish_text(d) -> str | None:
+    if d.keys() != _FINISH_KEYS:
+        return None
+    activation_t, service_ms, response_ms, energy_mj = d["activation_t"], d["service_ms"], d["response_ms"], d["energy_mj"]
+    device, job, lane, late, sink, e2e_ms = d["device"], d["job"], d["lane"], d["late"], d["sink"], d["e2e_ms"]
+    total = activation_t + service_ms + response_ms + energy_mj  # finite iff all are, unless it overflows
+    if not (
+        type(activation_t) is type(service_ms) is type(response_ms) is type(energy_mj) is float
+        and total - total == 0.0
+        and type(job) is type(lane) is int
+        and type(late) is type(sink) is bool
+        and type(device) is str
+    ):
+        return None
+    if e2e_ms is None:
+        e2e = "null"
+    elif type(e2e_ms) is float and e2e_ms - e2e_ms == 0.0:
+        e2e = repr(e2e_ms)
+    else:
+        return None
+    return (
+        f'{{"activation_t": {activation_t!r}, "device": {_json_str(device)}, "e2e_ms": {e2e}, '
+        f'"energy_mj": {energy_mj!r}, "job": {job!r}, "lane": {lane!r}, "late": {"true" if late else "false"}, '
+        f'"response_ms": {response_ms!r}, "service_ms": {service_ms!r}, "sink": {"true" if sink else "false"}}}'
+    )
+
+
+def _miss_text(d) -> str | None:
+    if d.keys() != _MISS_KEYS or not _finite(d["deadline_t"]) or type(d["job"]) is not int:
+        return None
+    return f'{{"deadline_t": {d["deadline_t"]!r}, "job": {d["job"]!r}}}'
+
+
+def _emit_text(d) -> str | None:
+    if d.keys() == _SOURCE_EMIT_KEYS:
+        return f'{{"produced_t": {d["produced_t"]!r}}}' if _finite(d["produced_t"]) else None
+    if d.keys() != _SINK_EMIT_KEYS or not _finite(d["activation_t"]):
+        return None
+    age_ms = d["age_ms"]
+    if age_ms is None:
+        age = "null"
+    elif _finite(age_ms):
+        age = repr(age_ms)
+    else:
+        return None
+    stale, staleness = _stale_text(d["stale"]), _staleness_text(d["staleness_ms"])
+    if stale is None or staleness is None:
+        return None
+    return f'{{"activation_t": {d["activation_t"]!r}, "age_ms": {age}, "stale": {stale}, "staleness_ms": {staleness}}}'
+
+
+_DETAIL_TEXT = {
+    "activate": _activate_text,
+    "start": _start_text,
+    "finish": _finish_text,
+    "miss": _miss_text,
+    "emit": _emit_text,
+}
+
+
 def trace_to_jsonl(trace: SimTrace) -> str:
-    lines = [
-        json.dumps({"t": e.t, "node": e.node, "kind": e.kind, "detail": e.detail}, sort_keys=True)
-        for e in trace.events
-    ]
+    """One line per event, byte-equal to json.dumps(event, sort_keys=True)
+    (see "Trace files" above)."""
+    lines = []
+    append = lines.append
+    last_t, t_text = None, ""
+    for e in trace.events:
+        t, node, kind, detail = e.t, e.node, e.kind, e.detail
+        text = None
+        if type(kind) is str and type(detail) is dict and type(node) is str and type(t) is float and t - t == 0.0:
+            template = _DETAIL_TEXT.get(kind)
+            if template is not None:
+                try:
+                    text = template(detail)
+                except TypeError:  # port keys of mixed types do not sort
+                    text = None
+        if text is None:
+            append(json.dumps({"t": t, "node": node, "kind": kind, "detail": detail}, sort_keys=True))
+            continue
+        if t != last_t or not t:  # equal floats other than zero have one repr
+            last_t, t_text = t, repr(t)
+        append(f'{{"detail": {text}, "kind": "{kind}", "node": {_json_str(node)}, "t": {t_text}}}')
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def trace_from_jsonl(text: str, duration_s: float | None = None) -> SimTrace:
     events = []
-    for i, line in enumerate(text.splitlines()):
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-            events.append(TraceEvent(row["t"], row["node"], row["kind"], row["detail"]))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise StackError("E-MALFORMED", f"bad trace line {i + 1}: {exc}") from exc
+    append, loads, event = events.append, json.loads, TraceEvent
+    with _collector_paused():
+        for i, line in enumerate(text.splitlines()):
+            if not line.strip():
+                continue
+            try:
+                row = loads(line)
+                append(event(row["t"], row["node"], row["kind"], row["detail"]))
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                raise StackError("E-MALFORMED", f"bad trace line {i + 1}: {exc}") from exc
     if duration_s is None:
         duration_s = max((e.t for e in events), default=0.0)
     return SimTrace(duration_s, tuple(events))

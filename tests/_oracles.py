@@ -2,12 +2,15 @@
 
 These deliberately avoid the production code paths: the makespan oracle is
 a plain topological list scheduler driven by exhaustive assignment
-enumeration, the dominance check is the quadratic pairwise definition, and
-the graph and platform lookups are linear scans over the models' tuples,
-which the indexed lookups of ComputationGraph and SubstrateModel must match.
+enumeration, the dominance check is the quadratic pairwise definition, the
+graph and platform lookups are linear scans over the models' tuples, which
+the indexed lookups of ComputationGraph and SubstrateModel must match, and
+the trace writer is json.dumps of each event, which the line templates of
+runtime.trace_to_jsonl must match byte for byte.
 """
 
 import itertools
+import json
 import math
 
 from amstack import graph as graphmod, scheduler
@@ -163,3 +166,15 @@ def dominates(a, b):
 
 def brute_force_frontier(points):
     return [p for p in points if not any(dominates(q, p) for q in points)]
+
+
+# ---------------------------------------------------------------------------
+# Trace persistence
+
+
+def trace_to_jsonl(trace):
+    lines = [
+        json.dumps({"t": e.t, "node": e.node, "kind": e.kind, "detail": e.detail}, sort_keys=True)
+        for e in trace.events
+    ]
+    return "\n".join(lines) + ("\n" if lines else "")

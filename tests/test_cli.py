@@ -55,6 +55,10 @@ def test_malformed_traces_exit_1_without_traceback(tmp_path, capsys, caplog):
         '{"detail": {"job": 0, "staleness_ms": [1]}, "kind": "activate", "node": "F", "t": 0.1}',
         '{"detail": {"stale": 5}, "kind": "emit", "node": "F", "t": 0.1}',
         '{"detail": {}, "kind": "miss", "node": "F", "t": NaN}',
+        '{"detail": {"job": 0, "response_ms": "x"}, "kind": "finish", "node": "F", "t": 0.5}',
+        '{"detail": {"job": 0, "response_ms": "x"}, "kind": "finish", "node": "F", "t": 0.5}\n'
+        '{"detail": {"job": 1, "response_ms": 1.0}, "kind": "finish", "node": "F", "t": 0.6}',
+        '{"detail": {"e2e_ms": "y", "job": 0, "response_ms": 1.0, "sink": true}, "kind": "finish", "node": "F", "t": 0.5}',
     ]
     for i, text in enumerate(lines):
         path = tmp_path / f"trace{i}.jsonl"

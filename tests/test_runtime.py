@@ -357,6 +357,15 @@ _MALFORMED_TRACES = {
     "integer-node": ([(0.1, "F", "miss", {}), (0.2, 3, "miss", {})], "got 3"),
     "staleness-list": ([(0.1, "F", "activate", {"job": 0, "staleness_ms": [1]})], "event 1"),
     "stale-number": ([(0.1, "F", "emit", {"stale": 5})], "event 1"),
+    "string-response": ([(0.5, "F", "finish", {"job": 0, "response_ms": "x"})], "event 1 ('finish' at t=0.5): response_ms"),
+    "string-response-then-number": (
+        [(0.5, "F", "finish", {"job": 0, "response_ms": "x"}), (0.6, "F", "finish", {"job": 1, "response_ms": 1.0})],
+        "event 1 ('finish' at t=0.5): response_ms",
+    ),
+    "string-sink-e2e": (
+        [(0.5, "F", "finish", {"job": 0, "response_ms": 1.0, "sink": True, "e2e_ms": "y"})],
+        "event 1 ('finish' at t=0.5): e2e_ms",
+    ),
 }
 
 
