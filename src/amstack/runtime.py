@@ -561,49 +561,48 @@ def replay(
     last_t = 0.0
     try:
         for i, e in enumerate(trace.events):
+            t, node, kind, d = e  # unpacked once: a NamedTuple's attributes are slower than locals
             # written so that NaN fails it, and a string or None raises
-            if not (last_t - 1e-12 <= e.t < math.inf):
+            if not (last_t - 1e-12 <= t < math.inf):
                 raise StackError("E-MALFORMED", f"trace event {i + 1}: times must be finite, >= 0, nondecreasing")
-            last_t = e.t
-            _touch(e.node)
-            if e.kind == "activate":
-                activates[e.node] += 1
-                for v in e.detail.get("staleness_ms", {}).values():
+            last_t = t
+            _touch(node)
+            if kind == "activate":
+                activates[node] += 1
+                for v in d.get("staleness_ms", {}).values():
                     if v is not None:
-                        max_stale[e.node] = max(max_stale.get(e.node, 0.0), v)
-            elif e.kind == "start":
-                d = e.detail
-                open_starts[d["job"]] = (d["device"], e.t)
+                        max_stale[node] = max(max_stale.get(node, 0.0), v)
+            elif kind == "start":
+                open_starts[d["job"]] = (d["device"], t)
                 cores[d["device"]] = d["cores"]
                 busy_ms.setdefault(d["device"], 0.0)
-            elif e.kind == "finish":
-                d = e.detail
+            elif kind == "finish":
                 response_ms, e2e_ms = d["response_ms"], d.get("e2e_ms")
                 # a float is checked inline, anything else by finite_number
                 if not (type(response_ms) is float and response_ms - response_ms == 0.0 or finite_number(response_ms)):
                     _not_a_number(i, e, "response_ms")
                 if not (e2e_ms is None or type(e2e_ms) is float and e2e_ms - e2e_ms == 0.0 or finite_number(e2e_ms)):
                     _not_a_number(i, e, "e2e_ms")
-                responses[e.node].append(response_ms)
+                responses[node].append(response_ms)
                 energy_mj_total += d.get("energy_mj", 0.0)
                 if d["job"] in open_starts:
                     dev, start_t = open_starts.pop(d["job"])
-                    busy_ms[dev] = busy_ms.get(dev, 0.0) + (e.t - start_t) * 1000.0
+                    busy_ms[dev] = busy_ms.get(dev, 0.0) + (t - start_t) * 1000.0
                 if d.get("sink") and e2e_ms is not None:
-                    sink_names.add(e.node)
-                    e2e_samples.setdefault(e.node, []).append(e2e_ms)
-            elif e.kind == "miss":
-                misses[e.node] += 1
-            elif e.kind == "emit":
-                emits[e.node].append(e.t)
-                if "stale" in e.detail:
-                    sink_names.add(e.node)
-                    stale_emits.setdefault(e.node, 0)
-                    if any(e.detail["stale"].values()):
-                        stale_emits[e.node] += 1
-                    for v in e.detail.get("staleness_ms", {}).values():
+                    sink_names.add(node)
+                    e2e_samples.setdefault(node, []).append(e2e_ms)
+            elif kind == "miss":
+                misses[node] += 1
+            elif kind == "emit":
+                emits[node].append(t)
+                if "stale" in d:
+                    sink_names.add(node)
+                    stale_emits.setdefault(node, 0)
+                    if any(d["stale"].values()):
+                        stale_emits[node] += 1
+                    for v in d.get("staleness_ms", {}).values():
                         if v is not None:
-                            max_stale[e.node] = max(max_stale.get(e.node, 0.0), v)
+                            max_stale[node] = max(max_stale.get(node, 0.0), v)
     except (KeyError, TypeError, AttributeError) as exc:
         raise StackError("E-MALFORMED", f"trace event {i + 1} ({e.kind!r} at t={e.t!r}): bad field {exc}") from exc
     for name in activates:
@@ -829,8 +828,7 @@ def trace_to_jsonl(trace: SimTrace) -> str:
     lines = []
     append = lines.append
     last_t, t_text = None, ""
-    for e in trace.events:
-        t, node, kind, detail = e.t, e.node, e.kind, e.detail
+    for t, node, kind, detail in trace.events:
         text = None
         if type(kind) is str and type(detail) is dict and type(node) is str and type(t) is float and t - t == 0.0:
             template = _DETAIL_TEXT.get(kind)

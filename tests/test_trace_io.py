@@ -16,7 +16,10 @@ from amstack.errors import StackError
 # ---------------------------------------------------------------------------
 # writer: byte-equal to json.dumps(event, sort_keys=True)
 
-_NAMES = st.one_of(st.sampled_from(["Control", "cpu0", "Käfer", "相机", "a\"b\\c", "\U0001f916", ""]), st.text(max_size=6))
+_NAMES = st.one_of(
+    st.sampled_from(["Control", "cpu0", "Käfer", "相机", "a\"b\\c", "\U0001f916", ""]),
+    st.text(max_size=6),
+)
 _FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, 1e16, 5e-324, 1.7976931348623157e308, 0.1, 2.5e-7]),
     st.floats(allow_nan=False, allow_infinity=False),
@@ -76,8 +79,14 @@ def _shapes():
             ),
         ),
         ("remap", st.fixed_dictionaries({**base, "unresolved": st.just(True), "device": _NAMES})),
-        ("variant_switch", st.fixed_dictionaries({**base, "device": _NAMES, "from_variant": _NAMES, "to_variant": _NAMES})),
+        (
+            "variant_switch",
+            st.fixed_dictionaries({**base, "device": _NAMES, "from_variant": _NAMES, "to_variant": _NAMES}),
+        ),
     ]
+
+
+_MUTATIONS = ["none", "none", "value", "value", "port-value", "drop", "extra", "int-port", "t", "node", "kind"]
 
 
 @st.composite
@@ -86,7 +95,7 @@ def _events(draw):
     detail = draw(details)
     t = draw(_FLOATS)
     node = draw(_NAMES)
-    mutation = draw(st.sampled_from(["none", "none", "value", "value", "port-value", "drop", "extra", "int-port", "t", "node", "kind"]))
+    mutation = draw(st.sampled_from(_MUTATIONS))
     ports = [v for v in detail.values() if isinstance(v, dict)]
     if mutation == "value" and detail:
         detail[draw(st.sampled_from(sorted(detail)))] = draw(_ODD)
