@@ -835,8 +835,8 @@ def trace_to_jsonl(trace: SimTrace) -> str:
             if template is not None:
                 try:
                     text = template(detail)
-                except TypeError:  # port keys of mixed types do not sort
-                    text = None
+                except TypeError:  # e.g. port keys of mixed types, which do not sort
+                    pass
         if text is None:
             append(json.dumps({"t": t, "node": node, "kind": kind, "detail": detail}, sort_keys=True))
             continue
