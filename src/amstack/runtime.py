@@ -578,10 +578,9 @@ def replay(
                 busy_ms.setdefault(d["device"], 0.0)
             elif kind == "finish":
                 response_ms, e2e_ms = d["response_ms"], d.get("e2e_ms")
-                # a float is checked inline, anything else by finite_number
-                if not (type(response_ms) is float and response_ms - response_ms == 0.0 or finite_number(response_ms)):
+                if not (_finite(response_ms) or finite_number(response_ms)):
                     _not_a_number(i, e, "response_ms")
-                if not (e2e_ms is None or type(e2e_ms) is float and e2e_ms - e2e_ms == 0.0 or finite_number(e2e_ms)):
+                if not (e2e_ms is None or _finite(e2e_ms) or finite_number(e2e_ms)):
                     _not_a_number(i, e, "e2e_ms")
                 responses[node].append(response_ms)
                 energy_mj_total += d.get("energy_mj", 0.0)
@@ -687,6 +686,10 @@ def replay(
     return MetricsReport(duration, per_node, per_device, end_to_end, verdicts)
 
 
+def _finite(x) -> bool:
+    return type(x) is float and x - x == 0.0  # inf - inf and NaN - NaN are NaN
+
+
 def _not_a_number(i: int, e: TraceEvent, key: str):
     raise StackError(
         "E-MALFORMED", f"trace event {i + 1} ({e.kind!r} at t={e.t!r}): {key} must be a finite number, got {e.detail[key]!r}"
@@ -703,10 +706,6 @@ def _not_a_number(i: int, e: TraceEvent, key: str):
 # by float.__repr__, as json does), an int (int.__repr__), a bool, None.
 
 
-def _finite(x) -> bool:
-    return type(x) is float and x - x == 0.0  # inf - inf and NaN - NaN are NaN
-
-
 def _staleness_text(ports) -> str | None:
     if type(ports) is not dict:
         return None
@@ -717,7 +716,7 @@ def _staleness_text(ports) -> str | None:
             return None
         if v is None:
             parts.append(f"{_json_str(key)}: null")
-        elif type(v) is float and v - v == 0.0:
+        elif _finite(v):
             parts.append(f"{_json_str(key)}: {v!r}")
         else:
             return None
@@ -778,7 +777,7 @@ def _finish_text(d) -> str | None:
         return None
     if e2e_ms is None:
         e2e = "null"
-    elif type(e2e_ms) is float and e2e_ms - e2e_ms == 0.0:
+    elif _finite(e2e_ms):
         e2e = repr(e2e_ms)
     else:
         return None
@@ -830,7 +829,7 @@ def trace_to_jsonl(trace: SimTrace) -> str:
     last_t, t_text = None, ""
     for t, node, kind, detail in trace.events:
         text = None
-        if type(kind) is str and type(detail) is dict and type(node) is str and type(t) is float and t - t == 0.0:
+        if type(kind) is str and type(detail) is dict and type(node) is str and _finite(t):
             template = _DETAIL_TEXT.get(kind)
             if template is not None:
                 try:

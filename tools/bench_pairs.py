@@ -1,16 +1,15 @@
 """Benchmark two commits against each other in alternating pairs.
 
     python3 tools/bench_pairs.py --base REV --change REV --out BENCH_N.json
-        [--workloads W,...] [--pairs 10] [--seed 100] [--seconds S]
-        [--traced-pairs 0] [--checkout worktree|archive] [--work DIR]
+        [--workloads W,...] [--pairs 10] [--seed 100] [--traced-pairs 0]
 
-Each commit is checked out once, with `git worktree add --detach` or, with
-`--checkout archive`, as a `git archive` export of its committed files.
-Pair i runs `python3 perfbench/run.py --workload W --seed SEED+i --trace 0
---seconds S` on both checkouts, base first when i is even and change first
-when i is odd, one process at a time. S defaults to BENCHMARK.json's
-run_seconds. `--traced-pairs N` adds N pairs with `--trace 1` (per-layer
-metrics) in the same order.
+Each commit is exported once with `git archive` (its committed files only,
+as the benchmark measures them) into a new temporary directory, which is
+removed at the end. Pair i runs `python3 perfbench/run.py --workload W
+--seed SEED+i --trace 0 --seconds S` on both checkouts, base first when i
+is even and change first when i is odd, one process at a time; S is
+BENCHMARK.json's run_seconds. `--traced-pairs N` adds N pairs with
+`--trace 1` (per-layer metrics) in the same order.
 
 The output holds, per workload, every run (side, pair, seed, correct,
 attempted, failed, metrics) and, per metric, each side's median and
@@ -23,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -33,16 +33,11 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "change")
 
 
-def checkout(rev: str, dest: Path, how: str) -> str:
-    """Check out `rev` at `dest`; returns its full commit id."""
-    commit = git("rev-parse", "--verify", f"{rev}^{{commit}}")
-    if how == "worktree":
-        git("worktree", "add", "--detach", str(dest), commit)
-    else:
-        dest.mkdir(parents=True)
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", commit], check=True, capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
-    return commit
+def checkout(commit: str, dest: Path):
+    """Export the committed files of `commit` into the new directory `dest`."""
+    dest.mkdir()
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", commit], check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
 def git(*args: str) -> str:
@@ -95,19 +90,19 @@ def main(argv=None) -> int:
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--traced-pairs", type=int, default=0)
     p.add_argument("--seed", type=int, default=100, help="seed of pair 0; pair i uses seed + i")
-    p.add_argument("--seconds", type=float, help="default: BENCHMARK.json run_seconds")
-    p.add_argument("--checkout", choices=("worktree", "archive"), default="worktree")
-    p.add_argument("--work", help="directory for the two checkouts; default a new temporary one")
     args = p.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    seconds = bench["run_seconds"]
     workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in bench["workloads"]]
     better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
-    work = Path(args.work or tempfile.mkdtemp(prefix="bench-pairs-"))
+    revs = dict(zip(SIDES, (args.base, args.change)))
+    commits = {side: git("rev-parse", "--verify", f"{rev}^{{commit}}") for side, rev in revs.items()}
+    work = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     trees = {side: work / side for side in SIDES}
-    commits = {side: checkout(rev, trees[side], args.checkout) for side, rev in zip(SIDES, (args.base, args.change))}
     try:
+        for side in SIDES:
+            checkout(commits[side], trees[side])
         doc = {"base": commits["base"], "change": commits["change"], "seconds": seconds, "workloads": {}}
         for workload in workloads:
             entry = doc["workloads"][workload] = {}
@@ -123,9 +118,7 @@ def main(argv=None) -> int:
                     entry[key] = {"runs": runs, "summary": summarize(runs, better)}
                     Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     finally:
-        if args.checkout == "worktree":
-            for tree in trees.values():
-                git("worktree", "remove", "--force", str(tree))
+        shutil.rmtree(work)
     return 0
 
 
