@@ -5,10 +5,28 @@ is scored on four axes: end-to-end latency mean (ms), achieved sink
 throughput (Hz), end-to-end latency variability (ms, root-sum-square of
 stage stds along the worst path), and platform energy rate (W).
 
+Latency and variability come from `scheduler.worst_path_latency`, a
+forward pass over the graph in topological order, not from enumerating
+its paths, so no path count bounds the envelope. It returns exactly what
+`analytic_latency` returns from the enumeration: every node keeps the
+prefix the enumeration would meet first (higher latency, then more hops,
+then the smaller name and id sequences), each sum is formed by the
+additions of `path_metrics` in their order, and float addition is
+monotone, so the kept prefixes make the worst float. Where a prefix lost
+by so little that rounding could still tie it with the winner, a second
+pass keeps every such prefix and chooses by the same order.
+
 Dominance is 4-dimensional: a point dominates another when it is no worse
 on every axis (lower latency, variability, and energy; higher throughput)
 and strictly better on at least one. Duplicated points never dominate
-each other, so exact duplicates are both kept.
+each other, so exact duplicates are both kept. The filter is
+sort-filter-skyline (Börzsönyi, Kossmann and Stocker, ICDE 2001; Chomicki
+et al., ICDE 2003), and it is exact: a point that dominates another is
+lexicographically smaller on (latency, variability, energy, -throughput),
+so it is visited first, and dominance is transitive, so a point that some
+dropped point dominates is also dominated by a kept one. Each point is
+therefore compared only with the points kept before it. A point with a
+NaN axis fails every comparison, so it dominates nothing and is kept.
 """
 
 from __future__ import annotations
@@ -18,11 +36,9 @@ import json
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import StackError
 from .graph import ComputationGraph
-from .scheduler import Mapping, analytic_latency, candidates, energy_rate_w, utilization_check
+from .scheduler import Mapping, candidates, energy_rate_w, utilization_check, worst_path_latency
 from .substrate import SubstrateModel
 
 DEFAULT_LIMIT = 10_000
@@ -60,7 +76,7 @@ def evaluate_config(
     utilization 1 it degrades proportionally (the pipeline slows to what
     the busiest device sustains, scaled to the sink's rate).
     """
-    latency, variability, _ = analytic_latency(graph, model, assignment)
+    latency, variability = worst_path_latency(graph, model, assignment)
     util = utilization_check(assignment, graph, model)
     max_util = max(util.values(), default=0.0)
     sink_rate = min((graph.node(s).required_freq_hz for s in graph.sink_ids), default=0.0)
@@ -109,25 +125,26 @@ def enumerate_configs(
 
 
 def pareto_filter(points: list[ConfigPoint]) -> ParetoFrontier:
-    """Exact dominance filter; output ordered by (latency, -throughput)."""
+    """Exact dominance filter by sort-filter-skyline; output ordered by
+    (latency, -throughput), ties in input order."""
     if not points:
         raise StackError("E-EMPTY", "cannot filter an empty point set")
     # minimize latency, variability, energy, -throughput
-    objs = np.array(
-        [[p.latency_ms, p.variability_ms, p.energy_rate_w, -p.throughput_hz] for p in points]
-    )
-    n = len(points)
-    keep = np.ones(n, dtype=bool)
-    for i in range(n):
-        if not keep[i]:
-            continue
-        leq = np.all(objs <= objs[i], axis=1)
-        strict = np.any(objs < objs[i], axis=1)
-        if np.any(leq & strict):
-            keep[i] = False
-    survivors = [p for i, p in enumerate(points) if keep[i]]
+    objs = [(p.latency_ms, p.variability_ms, p.energy_rate_w, -p.throughput_hz) for p in points]
+    # an axis that is NaN fails every comparison: such a point is never
+    # dominated and dominates nothing, so it skips the sort and stays
+    keep = [not (lat == lat and var == var and energy == energy and thr == thr) for lat, var, energy, thr in objs]
+    window: list[tuple[float, float, float, float]] = []  # objectives kept so far, in visit order
+    for i in sorted((i for i in range(len(points)) if not keep[i]), key=objs.__getitem__):
+        o = objs[i]
+        _, var, energy, thr = o
+        # every kept point comes first in the sort, so its latency is no higher
+        if not any(w[1] <= var and w[2] <= energy and w[3] <= thr and w != o for w in window):
+            window.append(o)
+            keep[i] = True
+    survivors = [p for p, kept in zip(points, keep) if kept]
     survivors.sort(key=lambda p: (p.latency_ms, -p.throughput_hz))
-    return ParetoFrontier(tuple(survivors), n - len(survivors))
+    return ParetoFrontier(tuple(survivors), len(points) - len(survivors))
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,26 @@ class ComputationGraph:
     def sink_ids(self) -> frozenset[int]:
         return frozenset(n.id for n in self.nodes if not self.out_edges(n.id))
 
+    @cached_property
+    def path_plan(self) -> tuple[tuple[int, str, bool, bool, tuple[tuple[int, bool, int | None], ...]], ...]:
+        """The nodes some source reaches, in topological order, each as (id,
+        name, is a source, is a sink, in-edges from reached producers as
+        (producer id, producer is a source, producer message_size), in edge
+        order): the walk of `critical_paths`, for a forward pass."""
+        reached: set[int] = set()
+        plan = []
+        for nid in self.topo_order():
+            node = self.nodes[nid]
+            ins = tuple(
+                (e.producer, self.nodes[e.producer].kind == "source", self.nodes[e.producer].message_size)
+                for e in self.in_edges(nid)
+                if e.producer in reached
+            )
+            if node.kind == "source" or ins:
+                reached.add(nid)
+                plan.append((nid, node.name, node.kind == "source", nid in self.sink_ids, ins))
+        return tuple(plan)
+
     def operator_nodes(self) -> list[Node]:
         return [n for n in self.nodes if n.kind == "operator"]
 

@@ -251,6 +251,139 @@ def analytic_latency(
     return best
 
 
+def worst_path_latency(graph: ComputationGraph, model: SubstrateModel, assignment) -> tuple[float, float]:
+    """`analytic_latency(...)[:2]`, by one forward pass over `graph.path_plan`
+    instead of enumerating the paths, so it has no path bound.
+
+    Each reached node keeps its best prefix: higher latency, then more
+    hops, then the smaller name sequence, then the smaller id sequence,
+    the order in which `analytic_latency` meets the paths. A candidate via
+    an in-edge is `(prefix + mean) + transfer`, the additions of
+    `path_metrics` in its order, so every path's float is the
+    enumeration's. Float addition is monotone, so the best prefix also
+    makes the worst latency L; only equal prefixes need the tie order.
+
+    A dropped prefix can still end in a tie at L when rounding later makes
+    two different sums one float. Every running sum lies in [0, L], so
+    each of the at most 2 x |nodes| later additions closes the gap by at
+    most ulp(L). The pass records the smallest gap by which a prefix lost;
+    only when it is within that bound does `_tied_variability` rerun the
+    pass keeping every prefix within the bound. A negative or NaN mean or
+    transfer breaks that argument, so such inputs, which no loaded model
+    holds, are enumerated instead.
+    """
+    nodes, plan = graph.nodes, graph.path_plan
+    profile, device, comm = model.profile, model.device, model.comm_cost_ms
+    n = len(nodes)
+    lat, var, hops, pred = [0.0] * n, [0.0] * n, [0] * n, [-1] * n  # best prefix per node
+    dev: list[str | None] = [None] * n
+    mean_of, sq_std_of = [0.0] * n, [0.0] * n
+    gap = math.inf  # smallest margin by which a dropped prefix lost on latency
+    worst = -1  # the sink ending the worst path so far
+
+    def precedes(u: int, w: int) -> bool:
+        """Whether the best prefix ending at u comes before the one at w (-1: empty)."""
+        hu, hw = hops[u] if u >= 0 else 0, hops[w] if w >= 0 else 0
+        if hu != hw:
+            return hu > hw
+        pu, pw = [], []
+        while u >= 0:
+            pu.append(u)
+            u = pred[u]
+        while w >= 0:
+            pw.append(w)
+            w = pred[w]
+        pu.reverse()
+        pw.reverse()
+        nu, nw = [nodes[i].name for i in pu], [nodes[i].name for i in pw]
+        return nu < nw if nu != nw else pu < pw
+
+    for nid, name, is_source, is_sink, ins in plan:
+        if is_source:
+            best, via, mean, d = 0.0, -1, 0.0, None  # the path that starts here
+        else:
+            d, variant = assignment[nid]
+            prof = profile(name, variant, device(d).device_class)
+            mean = prof.latency_mean_ms
+            if not mean >= 0.0:
+                return analytic_latency(graph, model, assignment)[:2]
+            dev[nid], mean_of[nid], sq_std_of[nid] = d, mean, prof.latency_std_ms**2
+            best, via = None, -1
+        for u, u_is_source, size in ins:
+            if is_source:
+                cand = lat[u]  # path_metrics adds nothing for a source
+            else:
+                cand = lat[u] + mean
+                if not u_is_source:
+                    transfer = comm(dev[u], d, size)
+                    if not transfer >= 0.0:
+                        return analytic_latency(graph, model, assignment)[:2]
+                    cand += transfer
+            if best is None or cand > best:
+                if best is not None and cand - best < gap:
+                    gap = cand - best
+                best, via = cand, u
+            elif cand < best:
+                if best - cand < gap:
+                    gap = best - cand
+            elif u != via and precedes(u, via):
+                via = u
+        lat[nid], pred[nid] = best, via
+        if via < 0:
+            hops[nid] = 1
+        else:
+            hops[nid] = hops[via] + 1
+            var[nid] = var[via] if is_source else var[via] + sq_std_of[nid]
+        if is_sink and hops[nid] > 1:
+            if worst < 0 or best > lat[worst] or (best == lat[worst] and precedes(nid, worst)):
+                worst = nid
+
+    if worst < 0 or not lat[worst] > 0.0:
+        return 0.0, 0.0  # analytic_latency's result when no path beats 0.0
+    latency = lat[worst]
+    bound = 2 * n * math.ulp(latency)
+    if gap <= bound:
+        tied = _tied_variability(graph, comm, lat, dev, mean_of, sq_std_of, latency, bound)
+        return latency, math.sqrt(tied)
+    return latency, math.sqrt(var[worst])
+
+
+def _tied_variability(graph, comm, best, dev, mean_of, sq_std_of, latency: float, bound: float) -> float:
+    """The squared-std sum of the path `analytic_latency` picks, by a pass
+    that keeps, per node and prefix latency within `bound` of the node's
+    best, the first prefix in the tie order. Equal latencies stay equal
+    through the same additions, so dropping the later of two is exact."""
+    names = [n.name for n in graph.nodes]
+
+    def order(entry):  # (hops, ids, squared-std sum) -> its place in the tie order
+        return -entry[0], [names[i] for i in entry[1]], entry[1]
+
+    kept: dict[int, dict[float, tuple[int, tuple[int, ...], float]]] = {}
+    chosen = None
+    for nid, _name, is_source, is_sink, ins in graph.path_plan:
+        here = {0.0: (1, (nid,), 0.0)} if is_source else {}
+        for u, u_is_source, size in ins:
+            for prefix, (h, ids, sq) in kept[u].items():
+                if is_source:
+                    cand = prefix
+                else:
+                    cand = prefix + mean_of[nid]
+                    if not u_is_source:
+                        cand += comm(dev[u], dev[nid], size)
+                    sq = sq + sq_std_of[nid]
+                if best[nid] - cand > bound:
+                    continue
+                entry = (h + 1, ids + (nid,), sq)
+                old = here.get(cand)
+                if old is None or order(entry) < order(old):
+                    here[cand] = entry
+        kept[nid] = here
+        entry = here.get(latency) if is_sink else None
+        if entry is not None and (chosen is None or order(entry) < order(chosen)):
+            chosen = entry
+    return chosen[2]
+
+
 def energy_rate_w(graph: ComputationGraph, model: SubstrateModel, assignment) -> float:
     """Platform power: per-invocation energy at the required rates plus the
     idle power of every device in the model."""

@@ -3,15 +3,19 @@
 These deliberately avoid the production code paths: the makespan oracle is
 a plain topological list scheduler driven by exhaustive assignment
 enumeration, the dominance check is the quadratic pairwise definition, the
-graph and platform lookups are linear scans over the models' tuples, which
-the indexed lookups of ComputationGraph and SubstrateModel must match, and
-the trace writer is json.dumps of each event, which the line templates of
-runtime.trace_to_jsonl must match byte for byte.
+Pareto filter is the all-pairs loop that sort-filter-skyline must match
+point for point, the graph and platform lookups are linear scans over the
+models' tuples, which the indexed lookups of ComputationGraph and
+SubstrateModel must match, and the trace writer is json.dumps of each
+event, which the line templates of runtime.trace_to_jsonl must match byte
+for byte.
 """
 
 import itertools
 import json
 import math
+
+import numpy as np
 
 from amstack import graph as graphmod, scheduler
 from amstack.errors import StackError
@@ -166,6 +170,25 @@ def dominates(a, b):
 
 def brute_force_frontier(points):
     return [p for p in points if not any(dominates(q, p) for q in points)]
+
+
+def pareto_filter(points):
+    """(survivors in (latency, -throughput) order, dominated count) by the
+    all-pairs numpy loop that envelope.pareto_filter's sort-filter-skyline
+    replaced."""
+    objs = np.array([[p.latency_ms, p.variability_ms, p.energy_rate_w, -p.throughput_hz] for p in points])
+    n = len(points)
+    keep = np.ones(n, dtype=bool)
+    for i in range(n):
+        if not keep[i]:
+            continue
+        leq = np.all(objs <= objs[i], axis=1)
+        strict = np.any(objs < objs[i], axis=1)
+        if np.any(leq & strict):
+            keep[i] = False
+    survivors = [p for i, p in enumerate(points) if keep[i]]
+    survivors.sort(key=lambda p: (p.latency_ms, -p.throughput_hz))
+    return tuple(survivors), n - len(survivors)
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,12 @@ def test_malformed_traces_exit_1_without_traceback(tmp_path, capsys, caplog):
         '{"detail": {"job": 0, "response_ms": "x"}, "kind": "finish", "node": "F", "t": 0.5}\n'
         '{"detail": {"job": 1, "response_ms": 1.0}, "kind": "finish", "node": "F", "t": 0.6}',
         '{"detail": {"e2e_ms": "y", "job": 0, "response_ms": 1.0, "sink": true}, "kind": "finish", "node": "F", "t": 0.5}',
+        '{"detail": {"job": 0, "staleness_ms": {"0": Infinity}}, "kind": "activate", "node": "F", "t": 0.1}',
+        '{"detail": {"job": 0, "staleness_ms": {"0": NaN}}, "kind": "activate", "node": "F", "t": 0.1}',
+        '{"detail": {"activation_t": 0.1, "age_ms": 1.0, "stale": {"0": false}, "staleness_ms": {"0": Infinity}}, '
+        '"kind": "emit", "node": "F", "t": 0.1}',
+        '{"detail": {"activation_t": 0.1, "age_ms": 1.0, "stale": {"0": false}, "staleness_ms": {"0": NaN}}, '
+        '"kind": "emit", "node": "F", "t": 0.1}',
     ]
     for i, text in enumerate(lines):
         path = tmp_path / f"trace{i}.jsonl"

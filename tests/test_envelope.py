@@ -3,7 +3,9 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import _oracles
 from _oracles import brute_force_frontier as _bff, dominates
 from amstack import dsl, envelope, graph as G, scheduler, substrate
 from amstack.errors import StackError
@@ -215,6 +217,76 @@ def test_sampled_frontier_consistent_with_exhaustive(orb):
     _, dominates = brute_force_frontier(list(full.points))
     for p in sampled.points:
         assert not any(dominates(p, q) for q in full.points)
+
+
+@st.composite
+def _point_sets(draw):
+    """Points drawn from a few objective rows: exact duplicates, ties on one
+    to three axes, 0.0 against -0.0, infinities and NaN."""
+    axis = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.0]), st.floats())
+    rows = draw(st.lists(st.tuples(axis, axis, axis, axis), min_size=1, max_size=6))
+    return [_point(*row) for row in draw(st.lists(st.sampled_from(rows), min_size=1, max_size=40))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_point_sets())
+@example([_point(1.0, 2.0, 3.0, 4.0)])
+@example([_point(1.0, 1.0, 2.0, 1.0), _point(1.0, 1.0, 1.0, 2.0)])  # equal (latency, throughput): input order
+@example([_point(2.0, 1.0, 1.0, 1.0), _point(math.nan, 1.0, 1.0, 1.0), _point(1.0, 1.0, 1.0, 1.0)])  # NaN in a sort
+@example([_point(0.0, 1.0, 0.0, 1.0), _point(-0.0, 1.0, -0.0, 1.0), _point(0.0, -0.0, 1.0, 1.0), _point(0.0, 0.0, 1.0, 1.0)])
+def test_pareto_filter_matches_the_all_pairs_oracle(points):
+    frontier = envelope.pareto_filter(points)
+    survivors, dominated = _oracles.pareto_filter(points)
+    assert [id(p) for p in frontier.points] == [id(p) for p in survivors]
+    assert frontier.dominated_count == dominated
+
+
+# ---------------------------------------------------------------------------
+# reach: more paths than critical_paths enumerates
+
+
+def test_envelope_evaluates_graphs_past_the_path_bound():
+    # one source and 9 fully connected layers of 3 operators: 3**9 = 19,683 paths
+    rng = random.Random(0x3A9)
+    lines, prev, ops = ["require S { frequency >= 10 Hz; message_size = 1 KB }"], ["S"], []
+    for layer in range(9):
+        names = []
+        for j in range(3):
+            op = f"F{layer}x{j}"
+            lines.append(f"require {op} {{ frequency >= 10 Hz; message_size = {rng.randint(1, 64)} KB }}")
+            lines.append(f"node n{layer}_{j} = {op}({', '.join(prev)})")
+            names.append(f"n{layer}_{j}")
+            ops.append(op)
+        prev = names
+    ast, _ = dsl.parse_text("\n".join(lines))
+    resolved, _ = dsl.resolve(ast)
+    g, _ = G.lower(resolved)
+    devices = [
+        {"id": "cpu0", "name": "cpu0", "class": "cpu", "cores": 8, "link_bw_bps": 1e9, "idle_w": 1.0},
+        {"id": "gpu0", "name": "gpu0", "class": "gpu", "cores": 4, "link_bw_bps": 4e8, "idle_w": 2.0},
+    ]
+    profiles = [
+        {"op": op, "variant": "base", "class": c, "lat_ms_mean": round(rng.uniform(0.5, 3.0), 3),
+         "lat_ms_std": round(rng.uniform(0.0, 0.3), 4), "energy_mj": 1.0}
+        for op in ops
+        for c in ("cpu", "gpu")
+    ]
+    model = substrate.model_from_dict({"devices": devices, "profiles": profiles})
+    with pytest.raises(StackError) as err:
+        G.critical_paths(g)
+    assert err.value.code == "E-PATHBOUND"
+    paths = G.critical_paths(g, bound=10**5)
+    assert len(paths) == 3**9
+
+    points = envelope.enumerate_configs(g, model, limit=5)
+    assert len(points) == 5
+    for p in points:
+        best = (0.0, 0.0)  # analytic_latency's rule: the first path of the worst latency
+        for path in paths:
+            lat, var = scheduler.path_metrics(g, model, p.mapping.assignment, path)
+            if lat > best[0]:
+                best = (lat, var)
+        assert (p.latency_ms, p.variability_ms) == best
 
 
 # ---------------------------------------------------------------------------

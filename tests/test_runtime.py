@@ -362,6 +362,22 @@ _MALFORMED_TRACES = {
         [(0.5, "F", "finish", {"job": 0, "response_ms": "x"}), (0.6, "F", "finish", {"job": 1, "response_ms": 1.0})],
         "event 1 ('finish' at t=0.5): response_ms",
     ),
+    "infinite-staleness": (
+        [(0.1, "F", "activate", {"job": 0, "staleness_ms": {"0": 1.0, "1": math.inf}})],
+        "event 1 ('activate' at t=0.1): staleness_ms must be a finite number, got inf",
+    ),
+    "nan-staleness": (
+        [(0.1, "F", "activate", {"job": 0, "staleness_ms": {"0": math.nan}})],
+        "event 1 ('activate' at t=0.1): staleness_ms must be a finite number, got nan",
+    ),
+    "infinite-sink-staleness": (
+        [(0.1, "F", "emit", {"activation_t": 0.1, "age_ms": 1.0, "stale": {"0": False}, "staleness_ms": {"0": math.inf}})],
+        "event 1 ('emit' at t=0.1): staleness_ms must be a finite number, got inf",
+    ),
+    "nan-sink-staleness": (
+        [(0.1, "F", "emit", {"activation_t": 0.1, "age_ms": None, "stale": {"0": True}, "staleness_ms": {"0": math.nan}})],
+        "event 1 ('emit' at t=0.1): staleness_ms must be a finite number, got nan",
+    ),
     "string-sink-e2e": (
         [(0.5, "F", "finish", {"job": 0, "response_ms": 1.0, "sink": True, "e2e_ms": "y"})],
         "event 1 ('finish' at t=0.5): e2e_ms",

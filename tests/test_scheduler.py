@@ -1,7 +1,9 @@
 import json
+import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from _oracles import oracle_optimum
 from amstack import dsl, fixtures, graph as G, scheduler, substrate
@@ -241,6 +243,132 @@ def test_admit_coverage_violation():
     report = scheduler.admit(g, model)
     assert report.verdict == "infeasible"
     assert report.violations[0].kind == "COVERAGE"
+
+
+# ---------------------------------------------------------------------------
+# worst path: the forward pass against the enumeration
+
+_DEVICES = [
+    {"id": "d0", "name": "d0", "class": "cpu", "cores": 1, "link_bw_bps": 1e9, "idle_w": 0},
+    {"id": "d1", "name": "d1", "class": "gpu", "cores": 1, "link_bw_bps": 4e8, "idle_w": 0},
+]
+# sums of these round onto one another: 0.1 + 0.2 is 0.30000000000000004
+_TIE_PRONE_MS = [0.1, 0.2, 0.3, 0.30000000000000004, 0.3000000000000001]
+
+
+def _path_case(nodes, edges, profiles, assignment):
+    """(graph, model, assignment) from node rows (name, kind, message_size),
+    (producer, consumer) pairs and (op, variant, class, mean, std) profiles."""
+    ports: dict[int, int] = {}
+    edge_rows = []
+    for p, c in edges:
+        edge_rows.append(G.Edge(p, c, ports.get(c, 0)))
+        ports[c] = ports.get(c, 0) + 1
+    graph = G.ComputationGraph(
+        tuple(G.Node(i, name, kind, 10.0, size) for i, (name, kind, size) in enumerate(nodes)), tuple(edge_rows)
+    )
+    rows = [
+        {"op": op, "variant": v, "class": c, "lat_ms_mean": mean, "lat_ms_std": std, "energy_mj": 0}
+        for op, v, c, mean, std in profiles
+    ]
+    return graph, substrate.model_from_dict({"devices": _DEVICES, "profiles": rows}), assignment
+
+
+def _x_against_y_plus_z(x_ms=0.3000000000000001, z_first=False):
+    """S feeds X (x_ms, std 5) and Y (0.1) -> Z (0.2); both reach J (1 us)
+    and then K (100 ms). With the default x_ms the sums into J differ but
+    are one float at K; with 0.30000000000000004 they are equal at J."""
+    names = ["S", "X", "Y", "Z", "J", "K"]
+    means = {"X": (x_ms, 5.0), "Y": (0.1, 0.1), "Z": (0.2, 0.1), "J": (1e-3, 0.0), "K": (100.0, 0.0)}
+    into_j = [(3, 4), (1, 4)] if z_first else [(1, 4), (3, 4)]
+    return _path_case(
+        [(name, "source" if name == "S" else "operator", None) for name in names],
+        [(0, 1), (0, 2), (2, 3), *into_j, (4, 5)],
+        [(op, "v", "cpu", mean, std) for op, (mean, std) in means.items()],
+        {i: ("d0", "v") for i in range(1, len(names))},
+    )
+
+
+def _equal_names():
+    """S feeds two nodes named A, equal in latency, unequal in std, both
+    into B, the higher id first: only the id sequence orders the paths."""
+    return _path_case(
+        [("S", "source", None), ("A", "operator", None), ("A", "operator", None), ("B", "operator", None)],
+        [(0, 1), (0, 2), (2, 3), (1, 3)],
+        [("A", "v0", "cpu", 0.1, 0.0), ("A", "v1", "cpu", 0.1, 5.0), ("B", "v0", "cpu", 0.2, 0.1)],
+        {1: ("d0", "v0"), 2: ("d0", "v1"), 3: ("d0", "v0")},
+    )
+
+
+@st.composite
+def _path_cases(draw):
+    """Random DAGs: repeated operator names, parallel edges, several sinks,
+    sources that also consume, operators no source reaches, message sizes
+    None, 0 or positive on two devices, and tie-prone latencies."""
+    nodes, edges = [], []
+    for i in range(draw(st.integers(1, 8))):
+        kind = "source" if i == 0 or draw(st.integers(0, 5)) == 0 else "operator"
+        name = f"S{i}" if kind == "source" else draw(st.sampled_from("ABC"))
+        nodes.append((name, kind, draw(st.sampled_from([None, 0, 1, 1000, 123457]))))
+        if i:
+            edges += [(p, i) for p in draw(st.lists(st.integers(0, i - 1), max_size=3))]
+    means = st.sampled_from([*_TIE_PRONE_MS, 1e-3, 100.0])
+    profiles = [
+        (op, v, c, draw(means), draw(st.sampled_from([0.0, 0.1, 5.0])))
+        for op in "ABC"
+        for v in ("v0", "v1")
+        for c in ("cpu", "gpu")
+    ]
+    picks = st.tuples(st.sampled_from(["d0", "d1"]), st.sampled_from(["v0", "v1"]))
+    assignment = {i: draw(picks) for i, (_, kind, _) in enumerate(nodes) if kind == "operator"}
+    return _path_case(nodes, edges, profiles, assignment)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_path_cases())
+@example(_x_against_y_plus_z())
+@example(_x_against_y_plus_z(z_first=True))
+@example(_x_against_y_plus_z(x_ms=0.30000000000000004))
+@example(_equal_names())
+def test_worst_path_latency_equals_the_enumeration(case):
+    graph, model, assignment = case
+    assert scheduler.worst_path_latency(graph, model, assignment) == scheduler.analytic_latency(graph, model, assignment)[:2]
+
+
+def test_worst_path_keeps_the_enumerations_rounding_tie():
+    # one best prefix per node keeps X (variability 5.0); the enumeration
+    # meets Y-Z first among the paths of the one worst float
+    graph, model, assignment = _x_against_y_plus_z()
+    latency, variability, path = scheduler.analytic_latency(graph, model, assignment)
+    assert [graph.node(i).name for i in path] == ["S", "Y", "Z", "J", "K"]
+    assert scheduler.worst_path_latency(graph, model, assignment) == (latency, math.sqrt(0.1**2 + 0.1**2))
+
+
+@pytest.mark.parametrize("negative", ["mean", "transfer"])
+def test_worst_path_latency_enumerates_a_negative_latency(negative):
+    # no loaded model holds one: near 2**53 the sums into J differ by one
+    # and meet at K, and then M's mean, or a transfer into M from a negative
+    # message size, brings L down to about 16, whose ulp is far below that
+    # gap, so only the enumeration keeps the tie
+    names = ["S", "X", "Y", "Z", "J", "K", "M"]
+    drop = 16.0 - 2.0**53
+    means = {"X": (2.0**53 - 1, 5.0), "Y": (2.0**53 - 4, 0.1), "Z": (2.0, 0.1), "J": (0.25, 0.0), "K": (2.0, 0.0),
+             "M": (drop if negative == "mean" else 1.0, 0.0)}
+    graph, _, assignment = _path_case(
+        [(name, "source" if name == "S" else "operator", int(drop) if name == "K" else None) for name in names],
+        [(0, 1), (0, 2), (2, 3), (1, 4), (3, 4), (4, 5), (5, 6)],
+        [],
+        {i: ("d0", "v") for i in range(1, len(names))},
+    )
+    if negative == "transfer":
+        assignment[6] = ("d1", "v")
+    model = substrate.SubstrateModel(
+        (substrate.Device("d0", "d0", "cpu", 1, 1e3, 0.0), substrate.Device("d1", "d1", "cpu", 1, 1e3, 0.0)),
+        tuple(substrate.VariantProfile(op, "v", "cpu", mean, std, 0.0) for op, (mean, std) in means.items()),
+    )
+    latency, variability, path = scheduler.analytic_latency(graph, model, assignment)
+    assert (path, variability) == ([0, 2, 3, 4, 5, 6], math.sqrt(0.1**2 + 0.1**2)) and 0.0 < latency < 20.0
+    assert scheduler.worst_path_latency(graph, model, assignment) == (latency, variability)
 
 
 # ---------------------------------------------------------------------------
