@@ -277,7 +277,6 @@ def worst_path_latency(graph: ComputationGraph, model: SubstrateModel, assignmen
     n = len(nodes)
     lat, var, hops, pred = [0.0] * n, [0.0] * n, [0] * n, [-1] * n  # best prefix per node
     dev: list[str | None] = [None] * n
-    mean_of, sq_std_of = [0.0] * n, [0.0] * n
     gap = math.inf  # smallest margin by which a dropped prefix lost on latency
     worst = -1  # the sink ending the worst path so far
 
@@ -300,15 +299,14 @@ def worst_path_latency(graph: ComputationGraph, model: SubstrateModel, assignmen
 
     for nid, name, is_source, is_sink, ins in plan:
         if is_source:
-            best, via, mean, d = 0.0, -1, 0.0, None  # the path that starts here
+            best, via, mean, sq_std, d = 0.0, -1, 0.0, 0.0, None  # the path that starts here
         else:
             d, variant = assignment[nid]
             prof = profile(name, variant, device(d).device_class)
-            mean = prof.latency_mean_ms
+            mean, sq_std = prof.latency_mean_ms, prof.latency_std_ms**2
             if not mean >= 0.0:
                 return analytic_latency(graph, model, assignment)[:2]
-            dev[nid], mean_of[nid], sq_std_of[nid] = d, mean, prof.latency_std_ms**2
-            best, via = None, -1
+            dev[nid], best, via = d, None, -1
         for u, u_is_source, size in ins:
             if is_source:
                 cand = lat[u]  # path_metrics adds nothing for a source
@@ -333,7 +331,7 @@ def worst_path_latency(graph: ComputationGraph, model: SubstrateModel, assignmen
             hops[nid] = 1
         else:
             hops[nid] = hops[via] + 1
-            var[nid] = var[via] if is_source else var[via] + sq_std_of[nid]
+            var[nid] = var[via] if is_source else var[via] + sq_std
         if is_sink and hops[nid] > 1:
             if worst < 0 or best > lat[worst] or (best == lat[worst] and precedes(nid, worst)):
                 worst = nid
@@ -343,15 +341,14 @@ def worst_path_latency(graph: ComputationGraph, model: SubstrateModel, assignmen
     latency = lat[worst]
     bound = 2 * n * math.ulp(latency)
     if gap <= bound:
-        tied = _tied_variability(graph, comm, lat, dev, mean_of, sq_std_of, latency, bound)
-        return latency, math.sqrt(tied)
+        return latency, math.sqrt(_tied_variability(graph, model, assignment, lat, latency, bound))
     return latency, math.sqrt(var[worst])
 
 
-def _tied_variability(graph, comm, best, dev, mean_of, sq_std_of, latency: float, bound: float) -> float:
+def _tied_variability(graph, model, assignment, best: list[float], latency: float, bound: float) -> float:
     """The squared-std sum of the path `analytic_latency` picks, by a pass
     that keeps, per node and prefix latency within `bound` of the node's
-    best, the first prefix in the tie order. Equal latencies stay equal
+    `best`, the first prefix in the tie order. Equal latencies stay equal
     through the same additions, so dropping the later of two is exact."""
     names = [n.name for n in graph.nodes]
 
@@ -361,16 +358,21 @@ def _tied_variability(graph, comm, best, dev, mean_of, sq_std_of, latency: float
     kept: dict[int, dict[float, tuple[int, tuple[int, ...], float]]] = {}
     chosen = None
     for nid, _name, is_source, is_sink, ins in graph.path_plan:
-        here = {0.0: (1, (nid,), 0.0)} if is_source else {}
+        if is_source:
+            here = {0.0: (1, (nid,), 0.0)}
+        else:
+            here = {}
+            prof = assigned_profile(model, graph.node(nid), assignment)
+            mean, sq_std, d = prof.latency_mean_ms, prof.latency_std_ms**2, assignment[nid][0]
         for u, u_is_source, size in ins:
             for prefix, (h, ids, sq) in kept[u].items():
                 if is_source:
                     cand = prefix
                 else:
-                    cand = prefix + mean_of[nid]
+                    cand = prefix + mean
                     if not u_is_source:
-                        cand += comm(dev[u], dev[nid], size)
-                    sq = sq + sq_std_of[nid]
+                        cand += model.comm_cost_ms(assignment[u][0], d, size)
+                    sq = sq + sq_std
                 if best[nid] - cand > bound:
                     continue
                 entry = (h + 1, ids + (nid,), sq)

@@ -300,6 +300,17 @@ def _equal_names():
     )
 
 
+def _two_sinks():
+    """P feeds sinks B (id 2) and A (id 3), equal in latency, unequal in
+    std: their prefixes are one path, so only the whole paths order them."""
+    return _path_case(
+        [("S", "source", None), ("P", "operator", None), ("B", "operator", None), ("A", "operator", None)],
+        [(0, 1), (1, 2), (1, 3)],
+        [("P", "v", "cpu", 0.2, 0.0), ("B", "v", "cpu", 0.1, 5.0), ("A", "v", "cpu", 0.1, 0.1)],
+        {1: ("d0", "v"), 2: ("d0", "v"), 3: ("d0", "v")},
+    )
+
+
 @st.composite
 def _path_cases(draw):
     """Random DAGs: repeated operator names, parallel edges, several sinks,
@@ -330,6 +341,7 @@ def _path_cases(draw):
 @example(_x_against_y_plus_z(z_first=True))
 @example(_x_against_y_plus_z(x_ms=0.30000000000000004))
 @example(_equal_names())
+@example(_two_sinks())
 def test_worst_path_latency_equals_the_enumeration(case):
     graph, model, assignment = case
     assert scheduler.worst_path_latency(graph, model, assignment) == scheduler.analytic_latency(graph, model, assignment)[:2]
